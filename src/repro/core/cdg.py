@@ -14,7 +14,9 @@ and broadcast *request* legs are path-shaped.  Their immediate-successor
 edges form the classic CDG; we also add the S-XB *barrier* edges: the S-XB
 serves arrivals drain-then-serve (a pending broadcast reserves the whole
 crossbar), so the channel entering the S-XB may wait for every S-XB output
-channel.  A cycle here is a unicast-style deadlock hazard.
+channel.  A cycle here is a unicast-style deadlock hazard.  The
+point-to-point edges come from walking the relation once per destination
+(:func:`~repro.core.routes.walk_unicast_states`), not from per-flow trees.
 
 **Tier 2 -- one multicast against path packets.**  A spreading broadcast
 holds a *prefix-closed* subset ``A`` of its route tree ``T`` and waits for
@@ -49,19 +51,64 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from ..topology.base import Channel, Topology
+from ..topology.base import Channel, ElementId, Topology
 from .config import BroadcastMode
+from .coords import Coord
 from .routes import (
     RouteRelation,
     RouteTree,
     Unicast,
+    compute_route,
     route_all_broadcasts,
-    route_all_unicasts,
+    unicast_pairs,
+    walk_unicast_states,
 )
+
+
+def find_vc_cycle(
+    edges: Iterable[Tuple[Hashable, Hashable]]
+) -> Optional[List[Hashable]]:
+    """A cycle ``[n0, n1, ..., n0]`` in a dependency graph, or ``None``.
+
+    Nodes are any sortable keys -- channel cids (tier 1), ``(tree, cid)``
+    states (tier 3), ``(cid, vc)`` resources (the scheme audits).
+    Iterative three-colour DFS over sorted roots and successors; no
+    library dependency so the check runs identically in every worker.
+    """
+    adj: Dict[Hashable, List[Hashable]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+    for succs in adj.values():
+        succs.sort()
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour: Dict[Hashable, int] = {}
+    for root in sorted(adj):
+        if colour.get(root, WHITE) != WHITE:
+            continue
+        stack: List[Tuple[Hashable, int]] = [(root, 0)]
+        path: List[Hashable] = []
+        colour[root] = GREY
+        path.append(root)
+        while stack:
+            node, idx = stack[-1]
+            succs = adj.get(node, [])
+            if idx < len(succs):
+                stack[-1] = (node, idx + 1)
+                nxt = succs[idx]
+                state = colour.get(nxt, WHITE)
+                if state == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if state == WHITE:
+                    colour[nxt] = GREY
+                    path.append(nxt)
+                    stack.append((nxt, 0))
+            else:
+                colour[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
 
 
 @dataclass
@@ -106,17 +153,12 @@ class _TreeInfo:
         self.tree = tree
         self.name = str(tree.flow)
         self.cids: Set[int] = set()
-        self.channel_of: Dict[int, Channel] = {}
         self.anc: Dict[int, Set[int]] = {}
+        # insertion order is parent-first, so the parent's set exists
         for c in tree.channels():
             self.cids.add(c.cid)
-            self.channel_of[c.cid] = c
-            s = {c.cid}
             p = tree.parent[c]
-            while p is not None:
-                s.add(p.cid)
-                p = tree.parent[p]
-            self.anc[c.cid] = s
+            self.anc[c.cid] = {c.cid} if p is None else self.anc[p.cid] | {c.cid}
         # channels granted atomically by the serialized S-XB: the multicast
         # never *waits* for them
         self.atomic: Set[int] = set()
@@ -137,12 +179,17 @@ class ChannelDependencyGraph:
     def __init__(self) -> None:
         #: tier-1 immediate-successor edges: cid -> set of cids
         self.succ: Dict[int, Set[int]] = {}
+        #: witness label per tier-1 edge (first flow to contribute it).
+        #: Broadcast edges are labelled as they are added; unicast edges
+        #: only when a hazard names them (:meth:`_edge_labels`).
         self.edge_flows: Dict[Tuple[int, int], str] = {}
         self.channels: Dict[int, Channel] = {}
         self.trees: List[_TreeInfo] = []
         self.concurrent_trees: bool = False
         self.num_flows = 0
         self._reach_cache: Dict[int, Set[int]] = {}
+        #: arguments of every :meth:`add_unicasts` call, for lazy labelling
+        self._unicasts: List[tuple] = []
 
     # ------------------------------------------------------------ building
     def _note_channel(self, c: Channel) -> None:
@@ -151,27 +198,60 @@ class ChannelDependencyGraph:
     def _add_succ(self, u: Channel, v: Channel, flow_name: str) -> None:
         self._note_channel(u)
         self._note_channel(v)
-        self.succ.setdefault(u.cid, set()).add(v.cid)
-        self.edge_flows.setdefault((u.cid, v.cid), flow_name)
-        self._reach_cache.clear()
+        vs = self.succ.setdefault(u.cid, set())
+        if v.cid not in vs:
+            vs.add(v.cid)
+            self.edge_flows[(u.cid, v.cid)] = flow_name
 
-    def add_path_flow(
+    def add_unicasts(
         self,
-        tree: RouteTree,
-        sxb_element=None,
+        topo: Topology,
+        logic: RouteRelation,
+        pairs: Sequence[Tuple[Coord, Coord]],
+        sxb_element: Optional[ElementId] = None,
         sxb_outputs: Sequence[Channel] = (),
     ) -> None:
-        """Add a path-shaped flow's tier-1 edges (plus barrier edges)."""
-        self.num_flows += 1
-        name = str(tree.flow)
-        for c in tree.channels():
-            self._note_channel(c)
-            p = tree.parent[c]
-            if p is not None:
-                self._add_succ(p, c, name)
-            if sxb_element is not None and c.dst == sxb_element:
-                for o in sxb_outputs:
-                    self._add_succ(c, o, name + " @S-XB barrier")
+        """Add the tier-1 edges (plus barrier edges) of point-to-point
+        ``pairs``, walking the relation once per destination."""
+        self.num_flows += len(pairs)
+        self._unicasts.append((topo, logic, pairs, sxb_element, sxb_outputs))
+        channels, succ = self.channels, self.succ
+        for chan, nexts in walk_unicast_states(topo, logic, pairs):
+            channels[chan.cid] = chan
+            if chan.dst == sxb_element:
+                nexts = [*nexts, *sxb_outputs]
+            if nexts:
+                waits = succ.setdefault(chan.cid, set())
+                for o in nexts:
+                    channels[o.cid] = o
+                    waits.add(o.cid)
+
+    def _edge_labels(self, edges: Iterable[Tuple[int, int]]) -> Set[str]:
+        """Witness labels of tier-1 ``edges``, filling ``edge_flows`` for
+        the unicast ones: the first flow, in the order given to
+        :meth:`add_unicasts`, whose route contributes the edge."""
+        edges = set(edges)
+        wanted = edges - self.edge_flows.keys()
+
+        def claim(u: Channel, v: Channel, label: str) -> None:
+            if (u.cid, v.cid) in wanted:
+                wanted.remove((u.cid, v.cid))
+                self.edge_flows[(u.cid, v.cid)] = label
+
+        for topo, logic, pairs, sxb_element, sxb_outputs in self._unicasts:
+            for source, dest in pairs:
+                if not wanted:
+                    break
+                tree = compute_route(topo, logic, Unicast(source, dest))
+                name = str(tree.flow)
+                for c in tree.channels():
+                    p = tree.parent[c]
+                    if p is not None:
+                        claim(p, c, name)
+                    if c.dst == sxb_element:
+                        for o in sxb_outputs:
+                            claim(c, o, name + " @S-XB barrier")
+        return {self.edge_flows[e] for e in edges}
 
     def add_multicast_tree(
         self,
@@ -223,7 +303,8 @@ class ChannelDependencyGraph:
         return seen
 
     def _shortest_chain(self, start: int, goals: Set[int]) -> List[int]:
-        """A shortest >=1-edge tier-1 path from ``start`` into ``goals``."""
+        """A shortest >=1-edge tier-1 path from ``start`` into ``goals``,
+        both ends included."""
         prev: Dict[int, int] = {}
         q = deque()
         for v in self.succ.get(start, ()):
@@ -245,6 +326,7 @@ class ChannelDependencyGraph:
 
     # -------------------------------------------------------------- tiers
     def find_deadlock(self) -> CDGResult:
+        self._reach_cache.clear()  # edges may have been added since last time
         hazard = self._tier1() or self._tier2() or self._tier3()
         return CDGResult(
             deadlock_free=hazard is None,
@@ -255,23 +337,13 @@ class ChannelDependencyGraph:
         )
 
     def _tier1(self) -> Optional[DeadlockHazard]:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.succ)
-        for u, vs in self.succ.items():
-            for v in vs:
-                g.add_edge(u, v)
-        try:
-            cyc = nx.find_cycle(g)
-        except nx.NetworkXNoCycle:
+        cyc = find_vc_cycle((u, v) for u, vs in self.succ.items() for v in vs)
+        if cyc is None:
             return None
-        cids = [u for u, _ in cyc]
-        flows = tuple(
-            sorted({self.edge_flows[(u, v)] for u, v in cyc})
-        )
         return DeadlockHazard(
             kind="path-cycle",
-            channels=tuple(self.channels[c] for c in cids),
-            flows=flows,
+            channels=tuple(self.channels[c] for c in cyc[:-1]),
+            flows=tuple(sorted(self._edge_labels(zip(cyc, cyc[1:])))),
         )
 
     def _tier2(self) -> Optional[DeadlockHazard]:
@@ -283,17 +355,9 @@ class ChannelDependencyGraph:
                     continue
                 for a in hits:
                     if info.state_allows(held=a, waited=w):
-                        chain = self._shortest_chain(w, {a})
-                        cids = [w] + chain
-                        flows = tuple(
-                            sorted(
-                                {info.name}
-                                | {
-                                    self.edge_flows.get((u, v), "?")
-                                    for u, v in zip(cids, cids[1:])
-                                }
-                            )
-                        )
+                        cids = self._shortest_chain(w, {a})
+                        labels = self._edge_labels(zip(cids, cids[1:]))
+                        flows = tuple(sorted({info.name} | labels))
                         return DeadlockHazard(
                             kind="tree-path-cycle",
                             channels=tuple(self.channels[c] for c in cids),
@@ -307,7 +371,7 @@ class ChannelDependencyGraph:
         # meta-graph over (tree index, held channel); an edge means "tree i
         # blocked in a state holding a can wait for w whose tier-1 closure
         # reaches a' held by tree j"
-        meta = nx.DiGraph()
+        meta: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
         n = len(self.trees)
         for i, ti in enumerate(self.trees):
             for a in ti.cids:
@@ -320,13 +384,11 @@ class ChannelDependencyGraph:
                             continue
                         for a2 in closure & self.trees[j].cids:
                             targets.add((j, a2))
-                for t in targets:
-                    meta.add_edge((i, a), t)
-        try:
-            cyc = nx.find_cycle(meta)
-        except (nx.NetworkXNoCycle, nx.NetworkXError):
+                meta.extend(((i, a), t) for t in targets)
+        cyc = find_vc_cycle(meta)
+        if cyc is None:
             return None
-        states = [u for u, _ in cyc]
+        states = cyc[:-1]
         chans = tuple(self.channels[a] for _, a in states)
         flows = tuple(sorted({self.trees[i].name for i, _ in states}))
         return DeadlockHazard(kind="multi-tree-cycle", channels=chans, flows=flows)
@@ -350,8 +412,6 @@ def build_cdg(
     :class:`~repro.core.config.RoutingConfig`; for a config-less scheme
     relation the analysis covers its unicast flows.
     """
-    from .routes import compute_route
-
     cfg = getattr(logic, "config", None)
     if cfg is None:
         include_broadcasts = False
@@ -370,11 +430,10 @@ def build_cdg(
 
     if include_unicasts:
         if unicast_flows is not None:
-            uni = [compute_route(topo, logic, f) for f in unicast_flows]
+            pairs = [(f.source, f.dest) for f in unicast_flows]
         else:
-            uni = route_all_unicasts(topo, logic)
-        for t in uni:
-            cdg.add_path_flow(t, sxb_element=sxb_element, sxb_outputs=sxb_outputs)
+            pairs = unicast_pairs(topo, logic)
+        cdg.add_unicasts(topo, logic, pairs, sxb_element, sxb_outputs)
     if include_broadcasts:
         bc = route_all_broadcasts(topo, logic, sources=broadcast_sources)
         for t in bc:

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..topology.base import Channel
 from ..topology.mdcrossbar import MDCrossbar
 from .config import BroadcastMode
@@ -89,6 +87,9 @@ def build_certificate(
     cyclic (the configuration is not certifiably deadlock free -- e.g. the
     naive detour scheme with broadcasts).
     """
+    # the only networkx user: keep its ~0.13 s import off `import repro`
+    import networkx as nx
+
     uni, bc, serialized, sxb_outputs = _gather(topo, logic)
     if not serialized and bc:
         raise CertificateError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from ..topology.base import Channel, ElementId, element_kind, ElementKind, Topology
 from .coords import Coord
@@ -214,6 +214,72 @@ def compute_route(
     return tree
 
 
+def walk_unicast_states(
+    topo: Topology,
+    logic: RouteRelation,
+    pairs: Iterable[Tuple[Coord, Coord]],
+) -> Iterator[Tuple[Channel, List[Channel]]]:
+    """Expand the routing relation of point-to-point ``pairs`` once per
+    destination, yielding ``(channel, output channels)`` per switch decision.
+
+    A decision depends on ``(element, input, dest, rc)`` only (no relation
+    reads ``header.source``), so flows to one destination share every
+    ``(channel, rc)`` state from where they merge; each state is decided
+    once, and the yielded hops are the union of those flows' route-tree
+    edges.  Makes the checks :func:`compute_route` makes:
+    ``check_deliverable`` per pair, :class:`RouteLoopError` when a source's
+    walk re-enters a state it opened itself (merging into an earlier
+    source's state is not a loop), :class:`RoutingError` from the relation.
+    """
+    by_dest: Dict[Coord, List[Coord]] = {}
+    for source, dest in pairs:
+        logic.check_deliverable(source, dest)
+        by_dest.setdefault(dest, []).append(source)
+    for dest, sources in by_dest.items():
+        headers = {rc: Header(source=sources[0], dest=dest, rc=rc) for rc in RC}
+        # (cid, rc) state -> index of the source whose walk opened it
+        opened_by: Dict[Tuple[int, RC], int] = {}
+        for walk, source in enumerate(sources):
+            stack = [(topo.injection_channel(source), RC.NORMAL)]
+            while stack:
+                chan, rc = stack.pop()
+                state = (chan.cid, rc)
+                if state in opened_by:
+                    if opened_by[state] == walk:
+                        raise RouteLoopError(
+                            f"flow {Unicast(source, dest)} revisited channel "
+                            f"{chan}; routing loop"
+                        )
+                    continue  # merged into an earlier source's route
+                opened_by[state] = walk
+                el = chan.dst
+                if element_kind(el) is ElementKind.PE:
+                    continue
+                decision = logic.decide(el, chan.src, headers[rc])
+                outs = (
+                    []
+                    if decision.drop
+                    else [topo.channel(el, o) for o in decision.outputs]
+                )
+                yield chan, outs
+                for out in outs:
+                    stack.append((out, decision.rc))
+
+
+def unicast_pairs(
+    topo: Topology,
+    logic: RouteRelation,
+    sources: Optional[Sequence[Coord]] = None,
+    dests: Optional[Sequence[Coord]] = None,
+) -> List[Tuple[Coord, Coord]]:
+    """Every healthy (source, dest) pair (or given subsets), source-major."""
+    dead = set(relation_dead_nodes(logic))
+    nodes = [c for c in topo.node_coords() if c not in dead]
+    srcs = [c for c in (sources if sources is not None else nodes) if c not in dead]
+    dsts = [c for c in (dests if dests is not None else nodes) if c not in dead]
+    return [(s, t) for s in srcs for t in dsts if s != t]
+
+
 def route_all_unicasts(
     topo: Topology,
     logic: RouteRelation,
@@ -221,15 +287,9 @@ def route_all_unicasts(
     dests: Optional[Sequence[Coord]] = None,
 ) -> List[RouteTree]:
     """Routes of every healthy (source, dest) pair (or given subsets)."""
-    dead = set(relation_dead_nodes(logic))
-    nodes = [c for c in topo.node_coords() if c not in dead]
-    srcs = [c for c in (sources if sources is not None else nodes) if c not in dead]
-    dsts = [c for c in (dests if dests is not None else nodes) if c not in dead]
     return [
         compute_route(topo, logic, Unicast(s, t))
-        for s in srcs
-        for t in dsts
-        if s != t
+        for s, t in unicast_pairs(topo, logic, sources, dests)
     ]
 
 

@@ -26,8 +26,9 @@ escape subnetwork being acyclic and always present in the wait set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+from ..core.cdg import find_vc_cycle
 from ..core.config import ConfigError
 from ..core.coords import Coord
 from ..core.packet import RC, Header
@@ -52,46 +53,6 @@ class SchemeAudit:
         verdict = "acyclic" if self.cycle_free else "CYCLIC"
         extra = f" -- {self.detail}" if self.detail else ""
         return f"{self.scheme}: CDG {verdict} ({self.num_edges} edges){extra}"
-
-
-def find_vc_cycle(edges: Iterable[Tuple[VCKey, VCKey]]) -> Optional[List[VCKey]]:
-    """A cycle in the (channel, vc) dependency graph, or ``None``.
-
-    Iterative three-colour DFS; no library dependency so the check runs
-    identically in every worker.
-    """
-    adj: Dict[VCKey, List[VCKey]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    for succs in adj.values():
-        succs.sort()
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[VCKey, int] = {}
-    for root in sorted(adj):
-        if colour.get(root, WHITE) != WHITE:
-            continue
-        stack: List[Tuple[VCKey, int]] = [(root, 0)]
-        path: List[VCKey] = []
-        colour[root] = GREY
-        path.append(root)
-        while stack:
-            node, idx = stack[-1]
-            succs = adj.get(node, [])
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                state = colour.get(nxt, WHITE)
-                if state == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if state == WHITE:
-                    colour[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                colour[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
 
 
 class RoutingScheme:
@@ -200,48 +161,48 @@ class RoutingScheme:
     def dependency_edges(self) -> Set[Tuple[VCKey, VCKey]]:
         """Edges of the (channel, vc) dependency graph.
 
-        Breadth-first expansion of :meth:`cdg_branches` from every
-        (router, destination) state -- every router is a potential
-        source, and a packet that reached a router adaptively then
-        behaves like a fresh injection there, so this covers mid-route
-        states as well.
+        Expansion of :meth:`cdg_branches` from every (router, destination)
+        state -- every router is a potential source, and a packet that
+        reached a router adaptively then behaves like a fresh injection
+        there, so this covers mid-route states as well.  A decision
+        depends on the destination but not the source, so the sources of
+        one destination share their visited states.
         """
-        edges: Set[Tuple[VCKey, VCKey]] = set()
+        by_dest: Dict[Coord, List[Coord]] = {}
         for s, d in self.route_pairs():
-            self._walk_pair(s, d, edges)
-        return edges
-
-    def _walk_pair(
-        self, source: Coord, dest: Coord, edges: Set[Tuple[VCKey, VCKey]]
-    ) -> None:
-        chan = self.topo.injection_channel(tuple(source))
-        start_header = Header(source=tuple(source), dest=tuple(dest))
-        # state: (element, in_from, in_vc, rc); fully determines the
-        # holding resource (channel(in_from, element), in_vc)
-        stack = [(chan.dst, chan.src, 0, start_header.rc)]
-        seen = {stack[0]}
-        limit = 16 * self.topo.num_channels + 64
-        while stack:
-            el, in_from, in_vc, rc = stack.pop()
-            if limit <= 0:  # pragma: no cover - defensive loop guard
-                raise RuntimeError(
-                    f"scheme {self.name!r} dependency walk diverged "
-                    f"for {source}->{dest}"
-                )
-            limit -= 1
-            held: VCKey = (self.topo.channel(in_from, el).cid, in_vc)
-            d = self.adapter.decide(el, in_from, in_vc, start_header.with_rc(rc))
-            if d.drop:
-                continue
-            for out_el, out_vc in self.cdg_branches(d):
-                nxt: VCKey = (self.topo.channel(el, out_el).cid, out_vc)
-                edges.add((held, nxt))
-                if element_kind(out_el) is ElementKind.PE:
+            by_dest.setdefault(d, []).append(s)
+        edges: Set[Tuple[VCKey, VCKey]] = set()
+        for dest, sources in by_dest.items():
+            header = Header(source=tuple(sources[0]), dest=tuple(dest))
+            # state: (element, in_from, in_vc, rc); fully determines the
+            # holding resource (channel(in_from, element), in_vc)
+            stack = []
+            for source in sources:
+                chan = self.topo.injection_channel(tuple(source))
+                stack.append((chan.dst, chan.src, 0, header.rc))
+            seen = set(stack)
+            limit = (16 * self.topo.num_channels + 64) * len(sources)
+            while stack:
+                el, in_from, in_vc, rc = stack.pop()
+                if limit <= 0:  # pragma: no cover - defensive loop guard
+                    raise RuntimeError(
+                        f"scheme {self.name!r} dependency walk diverged toward {dest}"
+                    )
+                limit -= 1
+                held: VCKey = (self.topo.channel(in_from, el).cid, in_vc)
+                d = self.adapter.decide(el, in_from, in_vc, header.with_rc(rc))
+                if d.drop:
                     continue
-                state = (out_el, el, out_vc, d.rc)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
+                for out_el, out_vc in self.cdg_branches(d):
+                    nxt: VCKey = (self.topo.channel(el, out_el).cid, out_vc)
+                    edges.add((held, nxt))
+                    if element_kind(out_el) is ElementKind.PE:
+                        continue
+                    state = (out_el, el, out_vc, d.rc)
+                    if state not in seen:
+                        seen.add(state)
+                        stack.append(state)
+        return edges
 
     def check_cycle_free(self) -> SchemeAudit:
         """Run the scheme's deadlock-freedom self-check."""

@@ -35,8 +35,11 @@ class ElementKind(str, enum.Enum):
 ElementId = Tuple
 
 
+_KIND_OF = {kind.value: kind for kind in ElementKind}
+
+
 def element_kind(el: ElementId) -> ElementKind:
-    return ElementKind(el[0])
+    return _KIND_OF[el[0]]
 
 
 def pe(coord: Coord) -> ElementId:
@@ -58,6 +61,11 @@ class Channel:
     src: ElementId
     dst: ElementId
     cid: int
+
+    def __hash__(self) -> int:
+        # equal channels share their cid; hashing the nested endpoint
+        # tuples on every dict/set touch dominated the static analyses
+        return self.cid
 
     @property
     def endpoints(self) -> Tuple[ElementId, ElementId]:

@@ -12,9 +12,18 @@ These are the paper's headline results as executable checks:
 
 import pytest
 
-from repro.core import Fault, analyze_deadlock_freedom, build_cdg
+from repro.core import (
+    Fault,
+    analyze_deadlock_freedom,
+    build_cdg,
+    route_all_broadcasts,
+    route_all_unicasts,
+)
 from repro.core.config import BroadcastMode, DetourScheme
-from repro.core.routes import Unicast
+from repro.core.packet import RC
+from repro.core.routes import RouteLoopError, Unicast
+from repro.core.switch_logic import Decision, UnreachableDestinationError
+from repro.topology import rtr
 from tests.conftest import make_logic
 
 
@@ -155,3 +164,122 @@ class TestGraphMechanics:
         )
         assert cdg.num_flows == 2
         assert len(cdg.trees) == 2
+
+
+class _LoopingRelation:
+    """Stub relation: routers and crossbars bounce a packet between two
+    routers of one dimension-0 crossbar forever."""
+
+    def __init__(self, topo):
+        self.topo = topo
+
+    def check_deliverable(self, source, dest):
+        pass
+
+    def decide(self, el, in_from, header):
+        if el[0] == "RTR":
+            return Decision(outputs=(self.topo.crossbar_of(el[1], 0),), rc=RC.NORMAL)
+        (x, *rest) = in_from[1]
+        return Decision(outputs=(rtr(((x + 1) % 2, *rest)),), rc=RC.NORMAL)
+
+
+class TestWalker:
+    def test_routing_loop_raises_from_build_cdg(self, topo43):
+        with pytest.raises(RouteLoopError):
+            build_cdg(
+                topo43,
+                _LoopingRelation(topo43),
+                unicast_flows=[Unicast((0, 0), (3, 2))],
+            )
+
+    def test_merge_into_another_sources_state_is_not_a_loop(self, topo43, logic43):
+        # both flows share every state from the destination's column on
+        flows = [Unicast((0, 0), (3, 2)), Unicast((1, 0), (3, 2))]
+        cdg = build_cdg(
+            topo43, logic43, unicast_flows=flows, include_broadcasts=False
+        )
+        assert cdg.num_flows == 2
+
+    def test_undeliverable_pair_rejected(self, topo43, logic43_faulty_rtr):
+        with pytest.raises(UnreachableDestinationError):
+            build_cdg(
+                topo43,
+                logic43_faulty_rtr,
+                unicast_flows=[Unicast((0, 0), (2, 0))],
+            )
+
+
+def _eager_edge_flows(topo, logic):
+    """Witness labels the per-flow way: every flow in build order, first
+    contributor of an edge wins."""
+    cfg = logic.config
+    serialized = cfg.broadcast_mode is BroadcastMode.SERIALIZED
+    sxb = cfg.sxb_element if serialized else None
+    outs = topo.channels_from(cfg.sxb_element) if serialized else ()
+    labels = {}
+    for tree in route_all_unicasts(topo, logic):
+        for c in tree.channels():
+            p = tree.parent[c]
+            if p is not None:
+                labels.setdefault((p.cid, c.cid), str(tree.flow))
+            if c.dst == sxb:
+                for o in outs:
+                    labels.setdefault(
+                        (c.cid, o.cid), f"{tree.flow} @S-XB barrier"
+                    )
+    for tree in route_all_broadcasts(topo, logic):
+        for entry in tree.serialize_entries if serialized else ():
+            chain = list(reversed(tree.ancestors(entry))) + [entry]
+            for a, b in zip(chain, chain[1:]):
+                labels.setdefault((a.cid, b.cid), f"{tree.flow} request")
+            for o in outs:
+                labels.setdefault(
+                    (entry.cid, o.cid), f"{tree.flow} request @S-XB barrier"
+                )
+    return labels
+
+
+class TestWitnessLabels:
+    """``edge_flows`` is filled on the hazard path only; what it holds must
+    be what labelling every edge eagerly, flow by flow, would have held."""
+
+    HAZARDS = {
+        "fig5": ("multi-tree-cycle", dict(broadcast_mode=BroadcastMode.NAIVE)),
+        "fig9": (
+            "path-cycle",
+            dict(fault=Fault.router((2, 0)), detour_scheme=DetourScheme.NAIVE),
+        ),
+        # naive broadcast around a fault: one tree against path packets
+        "tier2": (
+            "tree-path-cycle",
+            dict(fault=Fault.router((2, 0)), broadcast_mode=BroadcastMode.NAIVE),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAZARDS))
+    def test_hazard_names_real_flows(self, topo43, name):
+        kind, kwargs = self.HAZARDS[name]
+        logic = make_logic(topo43, **kwargs)
+        cdg = build_cdg(topo43, logic)
+        hazard = cdg.find_deadlock().hazard
+        assert hazard.kind == kind
+        eager = _eager_edge_flows(topo43, logic)
+        assert cdg.edge_flows.items() <= eager.items()
+        trees = {info.name for info in cdg.trees}
+        assert hazard.flows and set(hazard.flows) <= trees | set(eager.values())
+
+    def test_named_unicast_routes_contain_their_edge(self, topo43):
+        _, kwargs = self.HAZARDS["fig9"]
+        logic = make_logic(topo43, **kwargs)
+        cdg = build_cdg(topo43, logic)
+        named = set(cdg.find_deadlock().hazard.flows)
+        routes = {str(t.flow): t for t in route_all_unicasts(topo43, logic)}
+        checked = 0
+        for (u, v), label in cdg.edge_flows.items():
+            if label in named and label in routes:
+                tree = routes[label]
+                assert (u, v) in {
+                    (p.cid, c.cid) for c, p in tree.parent.items() if p
+                }
+                checked += 1
+        assert checked

@@ -6,7 +6,10 @@ and the public observability helpers.  The guard introspects the engine
 for its actual private names, so it tracks refactors automatically.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.core import SwitchLogic, make_config
@@ -78,3 +81,12 @@ def test_consumers_import_the_runtime_not_the_engine_guts():
     assert "runtime" in sweeps
     cli = (SRC / "cli.py").read_text()
     assert "from .runtime import" in cli
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """networkx (~0.13 s to import) serves the ordering certificate only;
+    every CLI call and worker launch pays for whatever ``import repro``
+    pulls in."""
+    code = "import sys, repro; sys.exit('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
