@@ -15,11 +15,21 @@ identity -- it is measurement, not result -- and a hit returns the stored
 result with its **original** wall time, so a fully cached rerun's JSON is
 byte-for-byte identical to the run that populated the cache.
 
-**Invalidation**: an unreadable or corrupt payload, a foreign pickle, or
-a schema/key/spec mismatch inside the payload drops the entry (counted in
-``invalidations``) and reads as a miss; the next execution rewrites it.
-Writes go through a temp file + :func:`os.replace`, so concurrent sweep
-processes sharing a cache directory see whole entries or none.
+**Storage**: an append-only segment store.  Every :class:`ResultCache`
+that writes owns one uniquely named ``*.seg`` file under ``root`` and
+appends one framed record per result -- ``(key digest, payload length,
+crc32 of the payload)`` then the pickled payload -- with a single
+unbuffered ``write``, so a result costs one ``write`` instead of a
+directory, a temp file and a rename.  Writers never share a segment, so
+concurrent sweep processes on one directory never meet a lock, and a
+reader indexes whole records only: it stops at a torn tail (a writer
+killed mid-record) and sees every record before it.
+
+**Invalidation**: a CRC or unpickle failure, a foreign pickle, or a
+schema/key/spec mismatch inside the payload drops the entry from this
+instance's index (counted in ``invalidations``) and reads as a miss; the
+next execution appends a fresh record, and the last record of a key wins.
+A flipped byte therefore costs one entry, not the file.
 """
 
 from __future__ import annotations
@@ -28,8 +38,11 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 import tempfile
-from typing import Dict, Iterable, Optional
+import time
+import zlib
+from typing import Dict, Iterable, Optional, Tuple
 
 from .spec import PointResult, RunSpec
 
@@ -86,12 +99,29 @@ def result_identity(results: Iterable[PointResult]) -> str:
     return json.dumps(docs, sort_keys=True, separators=(",", ":"))
 
 
-class ResultCache:
-    """Directory of pickled :class:`PointResult`s keyed by content hash.
+#: record header: the key's sha256 digest, the payload's length and its
+#: crc32; the pickled payload follows
+_HEADER = struct.Struct("<32sII")
 
-    Sharded two-level layout (``<root>/<key[:2]>/<key>.pkl``) so a large
-    cache does not pile thousands of entries into one directory.  The
-    counters feed :class:`repro.obs.collectors.ResultCacheStats`:
+_SEGMENT_SUFFIX = ".seg"
+
+
+class ResultCache:
+    """Append-only segments of pickled :class:`PointResult`s under
+    ``root``, keyed by content hash.
+
+    ``_index`` maps a key digest to ``(segment, offset, length)`` of its
+    newest whole record.  It is filled lazily: a lookup that does not find
+    its key scans the segments that are new or have grown since the last
+    scan -- the first lookup scans everything -- so a record another
+    process (or another instance) appended is visible as soon as its
+    ``put`` returned.  Segments are scanned in name order and names start
+    with their creation time, so when two segments hold a record for one
+    key the later-created segment wins, as the later record does inside a
+    segment.  Loose ``<key[:2]>/<key>.pkl`` entries written by earlier
+    versions are neither read nor removed.
+
+    The counters feed :class:`repro.obs.collectors.ResultCacheStats`:
 
     * ``hits``          -- entries served without simulating;
     * ``misses``        -- absent (or invalidated) entries;
@@ -106,72 +136,142 @@ class ResultCache:
         self.misses = 0
         self.invalidations = 0
         self.puts = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".pkl")
-
-    def path_for(self, spec: RunSpec) -> str:
-        return self._path(spec_key(spec))
+        self._index: Dict[bytes, Tuple[str, int, int]] = {}
+        #: segment -> (bytes indexed, file size at that scan); a segment
+        #: is read again only when its size has moved
+        self._scanned: Dict[str, Tuple[int, int]] = {}
+        #: this instance's own segment: (file, path, owning pid)
+        self._writer: Optional[Tuple] = None
 
     def get(self, spec: RunSpec) -> Optional[PointResult]:
         """The cached result for ``spec``, or None (counted as a miss)."""
-        # hash the spec exactly once per lookup: the path and the
+        # hash the spec exactly once per lookup: the index probe and the
         # payload's stored key derive from the same computation
         key = spec_key(spec)
-        path = self._path(key)
-        try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self._invalidate(path)
-            return None
+        digest = bytes.fromhex(key)
+        where = self._index.get(digest)
+        if where is None:
+            self._refresh()
+            where = self._index.get(digest)
+            if where is None:
+                self.misses += 1
+                return None
+        payload = self._load(digest, where)
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != CACHE_SCHEMA
             or payload.get("key") != key
             or payload.get("spec") != spec.to_dict()
         ):
-            self._invalidate(path)
+            # forget the bad record; the next put of this key supersedes
+            # it on disk (last record wins)
+            del self._index[digest]
+            self.invalidations += 1
+            self.misses += 1
             return None
         self.hits += 1
         return payload["result"]
 
     def put(self, result: PointResult) -> None:
-        """Store ``result`` under its spec's content key (atomic)."""
+        """Append ``result`` under its spec's content key; visible to
+        every reader of ``root`` when this returns."""
         key = spec_key(result.spec)
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "spec": result.spec.to_dict(),
-            "result": result,
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
+        blob = pickle.dumps(
+            {
+                "schema": CACHE_SCHEMA,
+                "key": key,
+                "spec": result.spec.to_dict(),
+                "result": result,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        digest = bytes.fromhex(key)
+        record = _HEADER.pack(digest, len(blob), zlib.crc32(blob)) + blob
+        self._index[digest] = self._append(record)
         self.puts += 1
 
-    def _invalidate(self, path: str) -> None:
-        self.invalidations += 1
-        self.misses += 1
+    def close(self) -> None:
+        """Release this instance's segment file.  Optional: every record
+        is on its way to disk when ``put`` returns, and a later ``put``
+        simply starts a new segment."""
+        if self._writer is not None:
+            self._writer[0].close()
+            self._writer = None
+
+    def _append(self, record: bytes) -> Tuple[str, int, int]:
+        """Write one whole record to this instance's segment."""
+        if self._writer is None or self._writer[2] != os.getpid():
+            # first put -- or a forked child, which must not append to
+            # the segment its parent is still writing
+            os.makedirs(self.root, exist_ok=True)
+            fd, path = tempfile.mkstemp(
+                prefix=f"{time.time_ns():020d}-",
+                suffix=_SEGMENT_SUFFIX,
+                dir=self.root,
+            )
+            f = os.fdopen(fd, "wb", buffering=0)
+            self._writer = (f, path, os.getpid())
+        f, path, _pid = self._writer
+        offset = f.tell()
         try:
-            os.unlink(path)
+            if f.write(record) != len(record):
+                raise OSError(f"short write to {path}")
+        except BaseException:
+            # part of the record may be on disk: nothing may follow a
+            # torn tail, so this segment takes no more records
+            self.close()
+            raise
+        end = offset + len(record)
+        self._scanned[path] = (end, end)
+        return path, offset, len(record)
+
+    def _refresh(self) -> None:
+        """Index the whole records that appeared under ``root`` since the
+        last scan."""
+        try:
+            names = sorted(
+                n for n in os.listdir(self.root) if n.endswith(_SEGMENT_SUFFIX)
+            )
         except OSError:
-            pass
+            return
+        for name in names:
+            path = os.path.join(self.root, name)
+            start, seen = self._scanned.get(path, (0, 0))
+            try:
+                size = os.stat(path).st_size
+                if size == seen:
+                    continue
+                with open(path, "rb") as f:
+                    while True:
+                        f.seek(start)
+                        head = f.read(_HEADER.size)
+                        if len(head) < _HEADER.size:
+                            break
+                        digest, length, _crc = _HEADER.unpack(head)
+                        end = start + _HEADER.size + length
+                        if end > size:
+                            break  # torn tail: whole records or none
+                        self._index[digest] = (path, start, end - start)
+                        start = end
+            except OSError:
+                continue  # removed under us: its records are just absent
+            self._scanned[path] = (start, size)
+
+    def _load(self, digest: bytes, where: Tuple[str, int, int]):
+        """The payload of the record at ``where``, or None when the record
+        is unreadable, fails its checksum or does not unpickle."""
+        path, offset, length = where
+        try:
+            with open(path, "rb", buffering=0) as f:
+                f.seek(offset)
+                record = f.read(length)
+            stored, size, crc = _HEADER.unpack_from(record)
+            blob = record[_HEADER.size:]
+            if (stored, size, crc) != (digest, len(blob), zlib.crc32(blob)):
+                return None
+            return pickle.loads(blob)
+        except Exception:  # unpickling bad bytes can raise anything
+            return None
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (the shape ``ResultCacheStats`` wraps)."""

@@ -153,16 +153,14 @@ class NetworkCache:
         return sim
 
 
-#: the per-process NetworkCache the chunk workers share (created lazily;
-#: under the fork start method each worker process gets its own copy)
+#: the NetworkCache the chunks of one pool worker share, made by the
+#: pool's initializer so that it has the session's ``network_capacity``
 _process_networks: Optional[NetworkCache] = None
 
 
-def _networks() -> NetworkCache:
+def _init_worker(network_capacity: int) -> None:
     global _process_networks
-    if _process_networks is None:
-        _process_networks = NetworkCache()
-    return _process_networks
+    _process_networks = NetworkCache(network_capacity)
 
 
 class _ChunkFailure(NamedTuple):
@@ -240,7 +238,7 @@ def execute_chunk(specs: Sequence[RunSpec]):
     the first spec that raised (later specs in the chunk are not
     attempted; sibling chunks are cancelled by the session).
     """
-    networks = _networks()
+    networks = _process_networks
     chunk_t0, chunk_c0 = perf_counter(), process_time()
     out: List[PointResult] = []
     timings: List[Tuple[float, float, str]] = []
@@ -368,18 +366,28 @@ class SweepSession:
         if self.ledger is not None and self._announced is self.ledger:
             self.ledger.record("session_close", runs=self._runs)
             self._announced = None
-        self._discard_pool()
+        # the pool is healthy here, so wait for its manager thread: a
+        # process that exits right after an unwaited shutdown can race
+        # concurrent.futures' exit hook and print "Exception ignored ...
+        # Bad file descriptor" on stderr
+        self._discard_pool(wait=True)
 
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, wait: bool = False) -> None:
+        """Drop the pool.  The failure paths do not wait: a hung worker
+        must not hang the parent."""
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
     def _ensure_pool(self) -> _futures.ProcessPoolExecutor:
         if self._pool is None:
             # workers spawn on demand up to max_workers, so sizing the
             # pool by ``jobs`` costs nothing on small runs
-            self._pool = _futures.ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = _futures.ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker,
+                initargs=(self.network_capacity,),
+            )
         return self._pool
 
     # ------------------------------------------------------------ execution

@@ -12,6 +12,25 @@ from ..core.packet import Packet
 from .network import NetworkSimulator, SimResult
 
 
+#: samples up to this size are summarised without numpy (see
+#: :meth:`LatencyStats.from_packets`)
+SMALL_SAMPLE = 64
+
+
+def _linear_percentile(ordered: Sequence[int], q: int) -> float:
+    """``np.percentile(ordered, q)`` (the default ``linear`` method) for a
+    sorted sample, float operation for float operation."""
+    virtual = (len(ordered) - 1) * (q / 100)
+    if virtual >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = int(virtual)
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    gamma = virtual - below
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 @dataclass
 class LatencyStats:
     """Latency distribution summary over measured packets.
@@ -35,20 +54,44 @@ class LatencyStats:
 
     @staticmethod
     def from_packets(packets: Sequence[Packet]) -> "LatencyStats":
-        lats = np.array(
-            [p.latency for p in packets if p.latency is not None], dtype=float
-        )
-        if lats.size == 0:
+        lats = [p.latency for p in packets if p.latency is not None]
+        n = len(lats)
+        if n == 0:
             nan = float("nan")
             return LatencyStats(0, nan, nan, nan, nan, nan, nan)
+        # A sweep point measures a handful of packets, and numpy's set-up
+        # per call costs more than the arithmetic.  Latencies are integer
+        # cycle counts, so the sum is exact and the mean rounds once, as
+        # numpy's does; the median and percentiles repeat numpy's
+        # operations in numpy's order -- every field is bit-identical to
+        # the array path below (tests/sim/test_stats.py holds the two
+        # together).
+        total = sum(lats) if n <= SMALL_SAMPLE else None
+        if isinstance(total, int):
+            lats.sort()
+            mid = n // 2
+            return LatencyStats(
+                count=n,
+                mean=total / n,
+                median=(
+                    float(lats[mid])
+                    if n % 2
+                    else (lats[mid - 1] + lats[mid]) / 2
+                ),
+                p95=_linear_percentile(lats, 95),
+                p99=_linear_percentile(lats, 99),
+                max=float(lats[-1]),
+                min=float(lats[0]),
+            )
+        arr = np.array(lats, dtype=float)
         return LatencyStats(
-            count=int(lats.size),
-            mean=float(lats.mean()),
-            median=float(np.median(lats)),
-            p95=float(np.percentile(lats, 95)),
-            p99=float(np.percentile(lats, 99)),
-            max=float(lats.max()),
-            min=float(lats.min()),
+            count=n,
+            mean=float(arr.mean()),
+            median=float(np.median(arr)),
+            p95=float(np.percentile(arr, 95)),
+            p99=float(np.percentile(arr, 99)),
+            max=float(arr.max()),
+            min=float(arr.min()),
         )
 
     def row(self) -> str:

@@ -1,14 +1,24 @@
-"""The content-addressed result cache: key definition, round-trips,
-invalidation of corrupt/stale entries, and the wall_time-excluding
-result identity."""
+"""The content-addressed result cache: key definition, round-trips, the
+append-only segment store (visibility across instances and processes,
+torn tails, invalidation of corrupt/stale records), and the
+wall_time-excluding result identity."""
 
+import functools
 import json
+import multiprocessing
+import os
 import pickle
+import tempfile
+import zlib
 from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Fault
 from repro.runtime import ResultCache, RunSpec, result_identity, spec_key
-from repro.runtime.cache import CACHE_SCHEMA
+from repro.runtime.cache import _HEADER, CACHE_SCHEMA
 
 SHAPE = (3, 3)
 FAST = dict(shape=SHAPE, warmup=30, window=60, drain=600)
@@ -18,6 +28,48 @@ def spec(**kw):
     base = dict(load=0.1, **FAST)
     base.update(kw)
     return RunSpec(**base)
+
+
+@functools.lru_cache(maxsize=None)
+def executed(seed):
+    """One executed spec per seed, simulated once per test session."""
+    return spec(seed=seed).execute()
+
+
+def segments(root):
+    return sorted(str(p) for p in root.glob("*.seg"))
+
+
+def payload_of(result, **overrides):
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "key": spec_key(result.spec),
+        "spec": result.spec.to_dict(),
+        "result": result,
+    }
+    payload.update(overrides)
+    return payload
+
+
+def craft(root, key, payload):
+    """Append a well-framed record holding ``payload`` under ``key`` to a
+    segment that sorts after every writer's, so it is the record a reader
+    finds for that key."""
+    blob = pickle.dumps(payload)
+    with open(root / "crafted.seg", "ab") as f:
+        f.write(
+            _HEADER.pack(bytes.fromhex(key), len(blob), zlib.crc32(blob))
+            + blob
+        )
+
+
+def chop(path, nbytes):
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) - nbytes)
+
+
+def put_in_child(cache, seed):
+    cache.put(executed(seed))
 
 
 class TestSpecKey:
@@ -82,12 +134,21 @@ class TestRoundTrip:
             "hits": 1, "misses": 1, "invalidations": 0, "puts": 1,
         }
 
-    def test_sharded_layout(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        s = spec()
-        cache.put(s.execute())
-        key = spec_key(s)
-        assert (tmp_path / key[:2] / f"{key}.pkl").exists()
+    def test_segment_layout(self, tmp_path):
+        """One writer, one segment, however many results; nothing else
+        is created under the root."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        for seed in (1, 2, 3):
+            cache.put(executed(seed))
+        names = os.listdir(tmp_path / "cache")
+        assert len(names) == 1 and names[0].endswith(".seg")
+        cache.close()
+        cache.put(executed(4))  # a closed writer starts a new segment
+        assert len(segments(tmp_path / "cache")) == 2
+        assert all(
+            ResultCache(str(tmp_path / "cache")).get(spec(seed=seed))
+            for seed in (1, 2, 3, 4)
+        )
 
     def test_get_hashes_the_spec_exactly_once(self, tmp_path, monkeypatch):
         """A lookup canonicalizes + sha256s the spec a single time; the
@@ -105,6 +166,19 @@ class TestRoundTrip:
         assert cache.get(s) is not None
         assert len(calls) == 1
 
+    def test_put_hashes_the_spec_exactly_once(self, tmp_path, monkeypatch):
+        import repro.runtime.cache as cache_mod
+
+        cache = ResultCache(str(tmp_path))
+        result = executed(1)
+        calls = []
+        real = cache_mod.spec_key
+        monkeypatch.setattr(
+            cache_mod, "spec_key", lambda sp: calls.append(sp) or real(sp)
+        )
+        cache.put(result)
+        assert len(calls) == 1
+
     def test_metrics_payload_rides_along(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         s = spec(metrics=True)
@@ -114,52 +188,168 @@ class TestRoundTrip:
         assert got.metrics["deliveries"].value > 0
 
 
+class TestSegmentStore:
+    def test_put_is_visible_to_another_instance_at_once(self, tmp_path):
+        writer = ResultCache(str(tmp_path))
+        reader = ResultCache(str(tmp_path))
+        assert reader.get(spec(seed=1)) is None  # scanned the empty root
+        writer.put(executed(1))
+        # no close(), no flush: a reader that already looked, and one
+        # that never did, both find the record
+        assert reader.get(spec(seed=1)) is not None
+        assert ResultCache(str(tmp_path)).get(spec(seed=1)) is not None
+        writer.put(executed(2))  # the segment a reader has scanned grows
+        assert reader.get(spec(seed=2)) is not None
+        assert (reader.hits, reader.misses) == (2, 1)
+
+    def test_two_writers_never_share_a_segment(self, tmp_path):
+        a, b = ResultCache(str(tmp_path)), ResultCache(str(tmp_path))
+        a.put(executed(1))
+        b.put(executed(2))
+        a.put(executed(3))
+        assert len(segments(tmp_path)) == 2
+        reader = ResultCache(str(tmp_path))
+        for seed in (1, 2, 3):
+            got = reader.get(spec(seed=seed))
+            assert got.to_dict() == executed(seed).to_dict()
+
+    def test_forked_writer_takes_its_own_segment(self, tmp_path):
+        """A child process that inherits an open writer must not append
+        to its parent's segment."""
+        cache = ResultCache(str(tmp_path))
+        cache.put(executed(1))
+        executed(2)  # simulated before the fork, so the child inherits it
+        child = multiprocessing.get_context("fork").Process(
+            target=put_in_child, args=(cache, 2)
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        cache.put(executed(3))
+        assert len(segments(tmp_path)) == 2
+        reader = ResultCache(str(tmp_path))
+        for seed in (1, 2, 3):
+            assert reader.get(spec(seed=seed)) is not None
+        assert cache.get(spec(seed=2)) is not None  # refreshed on the miss
+
+    def test_torn_tail_loses_only_the_torn_record(self, tmp_path):
+        writer = ResultCache(str(tmp_path))
+        for seed in (1, 2, 3):
+            writer.put(executed(seed))
+        writer.close()
+        chop(segments(tmp_path)[0], 10)
+        reader = ResultCache(str(tmp_path))
+        assert reader.get(spec(seed=1)) is not None
+        assert reader.get(spec(seed=2)) is not None
+        assert reader.get(spec(seed=3)) is None
+        # a record that never became whole is absent, not corrupt
+        assert reader.stats() == {
+            "hits": 2, "misses": 1, "invalidations": 0, "puts": 0,
+        }
+        reader.put(executed(3))
+        assert ResultCache(str(tmp_path)).get(spec(seed=3)) is not None
+
+    def test_torn_header_is_a_torn_tail_too(self, tmp_path):
+        writer = ResultCache(str(tmp_path))
+        writer.put(executed(1))
+        size = os.path.getsize(segments(tmp_path)[0])
+        writer.put(executed(2))
+        writer.close()
+        path = segments(tmp_path)[0]
+        chop(path, os.path.getsize(path) - size - _HEADER.size // 2)
+        reader = ResultCache(str(tmp_path))
+        assert reader.get(spec(seed=1)) is not None
+        assert reader.get(spec(seed=2)) is None
+        assert reader.invalidations == 0
+
+    def test_legacy_pickle_tree_is_neither_read_nor_removed(self, tmp_path):
+        """Entries of the one-file-per-result layout read as an empty
+        cache, and stay where they are."""
+        result = executed(1)
+        key = spec_key(result.spec)
+        legacy = tmp_path / key[:2] / f"{key}.pkl"
+        legacy.parent.mkdir()
+        legacy.write_bytes(pickle.dumps(payload_of(result)))
+        before = legacy.read_bytes()
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(result.spec) is None
+        assert cache.stats() == {
+            "hits": 0, "misses": 1, "invalidations": 0, "puts": 0,
+        }
+        cache.put(result)
+        assert cache.get(result.spec) is not None
+        assert legacy.read_bytes() == before
+
+
 class TestInvalidation:
     def test_corrupt_payload_is_dropped_and_recovered(self, tmp_path):
+        """One flipped payload byte costs that entry and no other."""
         cache = ResultCache(str(tmp_path))
-        s = spec()
-        cache.put(s.execute())
-        path = cache.path_for(s)
-        with open(path, "wb") as f:
-            f.write(b"not a pickle")
-        assert cache.get(s) is None
-        assert cache.invalidations == 1
-        assert not list(tmp_path.glob("*/*.pkl"))  # entry unlinked
-        cache.put(s.execute())  # rewrites cleanly
-        assert cache.get(s) is not None
+        ends = []
+        for seed in (1, 2, 3):
+            cache.put(executed(seed))
+            ends.append(os.path.getsize(segments(tmp_path)[0]))
+        cache.close()
+        with open(segments(tmp_path)[0], "r+b") as f:
+            f.seek(ends[1] - 20)  # inside the middle record's pickle
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte[0] ^ 0x40]))
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(spec(seed=2)) is None
+        assert (cache.invalidations, cache.misses) == (1, 1)
+        assert cache.get(spec(seed=1)) is not None
+        assert cache.get(spec(seed=3)) is not None
+        # the dropped entry is a plain miss until it is put again
+        assert cache.get(spec(seed=2)) is None
+        assert (cache.invalidations, cache.misses) == (1, 2)
+        cache.put(executed(2))  # the newer record supersedes the bad one
+        assert cache.get(spec(seed=2)) is not None
+        assert ResultCache(str(tmp_path)).get(spec(seed=2)) is not None
 
     def test_foreign_schema_is_dropped(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        s = spec()
-        result = s.execute()
+        result = executed(1)
         cache.put(result)
-        path = cache.path_for(s)
-        payload = {
-            "schema": CACHE_SCHEMA + 1,
-            "key": spec_key(s),
-            "spec": s.to_dict(),
-            "result": result,
-        }
-        with open(path, "wb") as f:
-            pickle.dump(payload, f)
-        assert cache.get(s) is None
+        craft(
+            tmp_path,
+            spec_key(result.spec),
+            payload_of(result, schema=CACHE_SCHEMA + 1),
+        )
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(result.spec) is None
         assert cache.invalidations == 1
 
     def test_key_collision_guard(self, tmp_path):
-        """A payload whose embedded spec disagrees with the probing spec
-        (hash collision, or a file renamed by hand) reads as a miss."""
+        """A record whose embedded spec disagrees with the probing spec
+        (a hash collision, or a record filed under the wrong key) reads
+        as a miss."""
         cache = ResultCache(str(tmp_path))
-        a, b = spec(), spec(load=0.2)
-        cache.put(a.execute())
-        import os
-        import shutil
-
-        src, dst = cache.path_for(a), cache.path_for(b)
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        shutil.copy(src, dst)
-        assert cache.get(b) is None
+        a, b = executed(1), executed(2)
+        cache.put(a)
+        craft(tmp_path, spec_key(b.spec), payload_of(a))
+        assert cache.get(b.spec) is None
         assert cache.invalidations == 1
-        assert cache.get(a) is not None  # the honest entry still hits
+        assert cache.get(a.spec) is not None  # the honest entry still hits
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"key": "0" * 64},
+            {"spec": executed(2).spec.to_dict()},
+            None,  # the payload is not a dict at all
+        ],
+        ids=["wrong-key", "other-spec", "not-a-dict"],
+    )
+    def test_each_payload_check_alone_invalidates(self, tmp_path, overrides):
+        result = executed(1)
+        payload = (
+            [result] if overrides is None else payload_of(result, **overrides)
+        )
+        craft(tmp_path, spec_key(result.spec), payload)
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(result.spec) is None
+        assert (cache.invalidations, cache.misses, cache.hits) == (1, 1, 0)
 
     def test_describe_mentions_counts_and_root(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -180,3 +370,52 @@ class TestObsIntegration:
         assert ms["result_cache.misses"].value == 1
         assert ms["result_cache.puts"].value == 1
         assert ms["result_cache.invalidations"].value == 0
+
+
+class TestDictLaw:
+    """Any interleaving of puts, gets, re-puts and crashes behaves like a
+    dict from which the records a crash tore are missing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), st.integers(1, 4)),
+                st.tuples(st.just("get"), st.integers(1, 4)),
+                # the writer dies having written all but ``cut`` bytes of
+                # its last record; another process carries on
+                st.tuples(st.just("crash"), st.integers(1, 400)),
+            ),
+            max_size=24,
+        )
+    )
+    def test_store_behaves_like_a_dict(self, actions):
+        with tempfile.TemporaryDirectory() as root:
+            writer, reader = ResultCache(root), ResultCache(root)
+            #: what the writer's segment holds; ``whole`` is everything
+            #: in the segments of the writers before it
+            current, whole = [], []
+            for action, arg in actions:
+                if action == "put":
+                    writer.put(executed(arg))
+                    current.append(arg)
+                elif action == "get":
+                    want = arg in current or arg in whole
+                    for cache in (reader, writer, ResultCache(root)):
+                        got = cache.get(spec(seed=arg))
+                        assert (got is not None) == want
+                        if want:
+                            assert got.to_dict() == executed(arg).to_dict()
+                else:
+                    writer.close()
+                    if current:
+                        # segment names sort by creation time, and a
+                        # record is well over 400 bytes
+                        chop(os.path.join(root, max(os.listdir(root))), arg)
+                        current.pop()
+                    whole += current
+                    current = []
+                    # nobody saw the torn record whole: the processes
+                    # that carry on start from the disk
+                    writer, reader = ResultCache(root), ResultCache(root)
+            writer.close()

@@ -4,6 +4,10 @@ runtime's determinism contract (serial == chunked == cached, spec order
 preserved)."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -244,6 +248,71 @@ class TestProgressFailure:
             with pytest.raises(SpecExecutionError):
                 session.run(small_specs()[:1] + [bad] * 3)
             assert session._pool is not pool_before
+
+
+class TestWorkerNetworkCapacity:
+    """``network_capacity`` reaches the pool workers, not only the
+    in-process path and the ``session_open`` record."""
+
+    def tiers(self, **session_kw):
+        from repro.obs import SweepLedger
+
+        a = RunSpec(load=0.05, **FAST)
+        b = RunSpec(load=0.05, shape=(4, 3), **WINDOWS)
+        specs = [a, b] * 4
+        ledger = SweepLedger()
+        # two chunks of a, b, a, b: a worker that keeps one network
+        # rebuilds for every spec, whichever worker takes which chunk
+        with SweepSession(
+            jobs=2, chunks_per_worker=1, ledger=ledger, **session_kw
+        ) as session:
+            results = session.run(specs)
+        assert result_identity(results) == result_identity(
+            SerialExecutor().run(specs)
+        )
+        return [r["cache"] for r in ledger.of_kind("spec_done")]
+
+    def test_capacity_one_rebuilds_where_the_default_reuses(self):
+        assert self.tiers(network_capacity=1) == ["fresh"] * 8
+        assert self.tiers().count("reuse") >= 4
+
+
+class TestCleanExit:
+    """After ``close()`` on a healthy session nothing of the pool is
+    left running, so a process that exits at once meets no half-closed
+    pool in ``concurrent.futures``' exit hook."""
+
+    SCRIPT = (
+        "from repro.runtime import RunSpec, SweepSession\n"
+        "specs = [RunSpec(shape=(3, 3), load=0.1, seed=s, warmup=5,"
+        " window=10, drain=60) for s in range(8)]\n"
+        "session = SweepSession(jobs=2)\n"
+        "assert len(session.run(specs)) == 8\n"
+        "session.close()\n"
+    )
+
+    def test_close_waits_for_the_pool_manager_thread(self):
+        before = threading.active_count()
+        session = SweepSession(jobs=2)
+        session.run(small_specs())
+        assert threading.active_count() > before
+        session.close()
+        assert threading.active_count() == before
+
+    def test_exit_right_after_close_leaves_stderr_empty(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        for _ in range(10):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0
+            assert proc.stderr == ""
 
 
 class TestRunInfo:

@@ -1,12 +1,15 @@
 """Unit tests for the statistics helpers."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.core import Header, Packet
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 from repro.sim.stats import (
+    SMALL_SAMPLE,
     LatencyStats,
     LoadPoint,
     ThroughputStats,
@@ -76,6 +79,52 @@ class TestLatencyStats:
 
     def test_row(self):
         assert "mean" in LatencyStats.from_packets([delivered_packet(5)]).row()
+
+
+def numpy_reference(latencies):
+    """What ``from_packets`` computed before the small-sample path."""
+    lats = np.array(latencies, dtype=float)
+    return LatencyStats(
+        count=int(lats.size),
+        mean=float(lats.mean()),
+        median=float(np.median(lats)),
+        p95=float(np.percentile(lats, 95)),
+        p99=float(np.percentile(lats, 99)),
+        max=float(lats.max()),
+        min=float(lats.min()),
+    )
+
+
+class TestSmallSampleParity:
+    """The numpy-free path for n <= SMALL_SAMPLE agrees with numpy on every
+    float, bit for bit -- cached results and identity hashes depend on it."""
+
+    @staticmethod
+    def assert_same(latencies):
+        got = LatencyStats.from_packets(
+            [delivered_packet(lat) for lat in latencies]
+        )
+        # dataclass equality is == field by field: no tolerance
+        assert got == numpy_reference(latencies), latencies
+
+    @pytest.mark.parametrize("n", range(1, SMALL_SAMPLE + 3))
+    def test_random_integer_latencies(self, n):
+        rng = random.Random(n)
+        for high in (3, 40, 1000, 10**6, 2**40):
+            for _ in range(20):
+                self.assert_same([rng.randint(1, high) for _ in range(n)])
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 20, 21, SMALL_SAMPLE, SMALL_SAMPLE + 1]
+    )
+    def test_degenerate_samples(self, n):
+        self.assert_same([7] * n)
+        self.assert_same([5, 9] * (n // 2) + [9] * (n % 2))
+        self.assert_same([1] * (n - 1) + [10**9])
+        self.assert_same(list(range(n, 0, -1)))
+
+    def test_non_integer_latencies_take_the_numpy_path(self):
+        self.assert_same([0.1, 0.2, 0.30000000000000004, 1e-9, 3.5])
 
 
 class TestThroughputStats:
