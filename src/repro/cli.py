@@ -9,7 +9,7 @@ Subcommands:
 * ``sweep``     -- latency-vs-load sweep over the runtime executors
 * ``trace``     -- capture a structured JSONL event trace of one run
 * ``report``    -- span/metric report from a live run or a saved trace
-* ``bench``     -- pinned perf suite with regression comparison
+* ``bench``     -- pinned-counts suite with exact baseline comparison
 * ``figures``   -- replay the paper's Figs. 5/6/9/10 scenarios
 * ``machine``   -- describe an SR2201 configuration
 * ``kernels``   -- run application kernels across topologies
@@ -686,33 +686,23 @@ def cmd_bench(args) -> int:
     )
 
     doc = run_suite(
-        smoke=args.smoke,
         label=args.label,
         progress=lambda msg: print(msg, file=sys.stderr),
-        repeats=args.repeats,
-        legacy_compare=not args.no_legacy_compare,
-        profile_top=args.profile_top if args.profile else None,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     write_bench(doc, out_path)
     print(render_bench(doc))
-    if args.profile:
-        for name, case in doc["cases"].items():
-            if "profile" in case:
-                print(f"\n--- cProfile {name} "
-                      f"(top {args.profile_top} cumulative) ---")
-                print(case["profile"].rstrip())
     print(f"wrote {out_path}")
     if args.compare:
         baseline = load_bench(args.compare)
-        regressions = compare_bench(doc, baseline, threshold_pct=args.threshold)
+        regressions = compare_bench(doc, baseline)
         if regressions:
             print(f"REGRESSIONS vs {args.compare}:")
             for r in regressions:
                 print(f"  {r.case}.{r.field}: {r.old} -> {r.new} ({r.note})")
             return 1
-        print(f"no regressions vs {args.compare} (threshold {args.threshold}%)")
+        print(f"no regressions vs {args.compare}")
     return 0
 
 
@@ -1295,31 +1285,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser(
-        "bench", help="run the pinned perf suite; optionally gate against "
-                      "a saved baseline"
+        "bench", help="run the pinned-counts suite; optionally compare "
+                      "exactly against a saved baseline"
     )
     p.add_argument("--label", default="local",
                    help="suffix of the BENCH_<label>.json output file")
     p.add_argument("--out-dir", default="benchmarks",
                    help="directory for the BENCH_<label>.json result")
-    p.add_argument("--smoke", action="store_true",
-                   help="fast subset only (what CI runs)")
     p.add_argument("--compare", metavar="BASELINE.json",
                    help="compare against a saved bench file; exit 1 on "
-                        "regression")
-    p.add_argument("--threshold", type=float, default=20.0,
-                   help="allowed cycles/sec drop in percent (default 20)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed runs per case; best wall time wins and the "
-                        "simulated quantities must agree (default 3)")
-    p.add_argument("--no-legacy-compare", action="store_true",
-                   help="skip the in-run legacy_scan twin (faster, but "
-                        "drops the machine-independent speedup check)")
-    p.add_argument("--profile", action="store_true",
-                   help="also run each case once under cProfile and print "
-                        "the top cumulative entries")
-    p.add_argument("--profile-top", type=int, default=15,
-                   help="rows of the --profile dump (default 15)")
+                        "any difference")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("figures", help="replay the paper's figures")

@@ -292,12 +292,14 @@ class TestCleanExit:
     )
 
     def test_close_waits_for_the_pool_manager_thread(self):
-        before = threading.active_count()
+        # thread objects, not a count: a thread an earlier test left
+        # winding down may exit in the middle of this one
+        before = set(threading.enumerate())
         session = SweepSession(jobs=2)
         session.run(small_specs())
-        assert threading.active_count() > before
+        assert set(threading.enumerate()) - before
         session.close()
-        assert threading.active_count() == before
+        assert not set(threading.enumerate()) - before
 
     def test_exit_right_after_close_leaves_stderr_empty(self):
         import repro
