@@ -6,11 +6,12 @@ and checkpoint/resume."""
 import io
 import json
 import math
+import os
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.campaign import (
     BlockState,
@@ -30,6 +31,77 @@ from repro.core.config import ConfigError, DetourScheme, make_config
 from repro.core.multifault import all_single_faults
 
 SHAPES = [(4, 3), (3, 2, 2), (8, 1), (2, 2), (5,), (4, 4)]
+
+#: identities and means recorded at the commit before the compact block
+#: kernel (CI's campaign smoke reads the same file)
+with open(
+    os.path.join(os.path.dirname(__file__), "campaign_golden.json")
+) as _fh:
+    GOLDEN = json.load(_fh)
+
+#: extents at and past one 64-bit occupancy word, extent-1 and
+#: no-wide-dimension shapes, four dimensions: what a mask kernel can get
+#: wrong and nothing small exercises
+MASK_SHAPES = [(70, 2), (1, 130), (65, 3), (64, 2), (1,), (1, 1), (2, 2, 2, 2)]
+
+
+def _make_config_judge(shape):
+    singles = all_single_faults(shape)
+
+    def feasible(indices, need):
+        assert need == 1
+        try:
+            make_config(shape, faults=tuple(singles[j] for j in sorted(indices)))
+            return True
+        except ConfigError:
+            return False
+
+    return feasible
+
+
+def _oracle_judge(shape):
+    """``SwitchUniverse.feasible`` -- pinned == ``make_config`` by
+    ``test_oracle_matches_make_config_exactly`` and cheap enough for
+    shapes where ``make_config`` per prefix is not."""
+    return SwitchUniverse(shape).feasible
+
+
+def assert_legal_scalar_walks(shape, rng, size, cap, need, feasible):
+    """Every proper prefix of a walk's failure order is feasible, the
+    full order infeasible exactly when the kernel says the walk died
+    (capped walks end feasible at the cap)."""
+    uni = SwitchUniverse(shape)
+    times, depth, infeasible, orders = sample_block(
+        uni, rng, size, max_faults=cap, need=need, debug=True
+    )
+    assert (times > 0).all()
+    for i in range(size):
+        order = orders[i]
+        assert len(order) == depth[i]
+        assert len(set(order)) == len(order)  # without replacement
+        assert all(0 <= j < uni.num_switches for j in order)
+        for plen in range(1, len(order) + 1):
+            ok = feasible(order[:plen], need)
+            if plen < len(order):
+                assert ok, (shape, need, cap, order[:plen])
+            else:
+                assert ok != bool(infeasible[i]), (shape, need, cap, order)
+        if not infeasible[i]:
+            n = uni.num_switches
+            assert len(order) == (n if cap is None else min(cap, n))
+
+
+@st.composite
+def small_universe_shapes(draw):
+    """<= 4 dimensions in any order, extents 1-70 (every other shape
+    has one in 60-70, around the 64-bit word edge), <= 300 switches."""
+    shape = [draw(st.one_of(st.integers(1, 70), st.integers(60, 70)))]
+    routers = shape[0]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        shape.append(draw(st.integers(1, min(70, 150 // routers))))
+        routers *= shape[-1]
+    assume(routers + sum(routers // e for e in shape) <= 300)
+    return tuple(draw(st.permutations(shape)))
 
 
 class TestSwitchUniverse:
@@ -87,33 +159,37 @@ class TestSwitchUniverse:
 
 class TestSampleBlock:
     def test_walks_are_legal_scalar_walks(self):
-        """Debug mode exposes each sample's failure order; every proper
-        prefix must be make_config-feasible, and the final prefix
-        infeasible exactly when the kernel says the walk died (capped
-        walks end feasible at the cap)."""
-        for shape, cap in [((4, 3), None), ((3, 2, 2), None), ((5,), None),
-                           ((4, 3), 3)]:
-            uni = SwitchUniverse(shape)
-            singles = all_single_faults(shape)
-            rng = np.random.default_rng(42)
-            _, depth, infeasible, orders = sample_block(
-                uni, rng, 60, max_faults=cap, debug=True
+        """Debug mode exposes each sample's failure order; the small
+        shapes are judged by ``make_config`` itself, the shapes the
+        occupancy masks can get wrong by the closed-form oracle."""
+        cases = [
+            ((4, 3), None, 1, _make_config_judge),
+            ((3, 2, 2), None, 1, _make_config_judge),
+            ((5,), None, 1, _make_config_judge),
+            ((4, 3), 3, 1, _make_config_judge),
+        ] + [
+            (shape, cap, need, _oracle_judge)
+            for shape in MASK_SHAPES
+            for need in (1, 2)
+            for cap in (None, 3)
+        ]
+        for shape, cap, need, judge in cases:
+            assert_legal_scalar_walks(
+                shape, np.random.default_rng(42), 60, cap, need, judge(shape)
             )
-            for i in range(60):
-                order = orders[i]
-                assert len(order) == depth[i]
-                assert len(set(order)) == len(order)  # without replacement
-                for plen in range(1, len(order) + 1):
-                    prefix = tuple(singles[j] for j in sorted(order[:plen]))
-                    try:
-                        make_config(shape, faults=prefix)
-                        ok = True
-                    except ConfigError:
-                        ok = False
-                    if plen < len(order):
-                        assert ok
-                    else:
-                        assert ok != bool(infeasible[i])
+
+    @given(
+        shape=small_universe_shapes(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        need=st.sampled_from([1, 2]),
+        cap=st.sampled_from([None, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walks_are_legal_on_random_shapes(self, shape, seed, need, cap):
+        assert_legal_scalar_walks(
+            shape, np.random.default_rng(seed), 12, cap, need,
+            _oracle_judge(shape),
+        )
 
     def test_times_are_positive_and_increasing_with_depth(self):
         uni = SwitchUniverse((4, 3))
@@ -298,6 +374,30 @@ class TestCampaignInvariance:
         assert abs(
             kern.mean_faults_survived - loop.mean_faults_survived
         ) < 0.2
+
+
+class TestKernelGolden:
+    """The sample stream against the past, not against itself: every
+    value here was recorded before the compact kernel was written.  The
+    (16, 16, 8) case walks 65 faults deep with up to 12 faulty crossbars
+    in one walk: both of the kernel's growth paths."""
+
+    @pytest.mark.parametrize(
+        "golden", GOLDEN["specs"], ids=lambda g: json.dumps(g["spec"])
+    )
+    def test_identity_and_mean(self, golden):
+        doc = dict(golden["spec"], shape=tuple(golden["spec"]["shape"]))
+        result = run_campaign(CampaignSpec(**doc), jobs=1)
+        assert result.identity_sha256 == golden["identity_sha256"]
+        assert result.estimate().mean.hex() == golden["mean_hex"]
+
+    def test_cli_machine_campaign(self, capsys):
+        from repro.cli import main
+
+        assert main(GOLDEN["cli"]["argv"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["identity_sha256"] == GOLDEN["cli"]["identity_sha256"]
+        assert doc["mean_mttf"] == GOLDEN["cli"]["mean_mttf"]
 
 
 class TestCampaignResult:
