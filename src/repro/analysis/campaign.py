@@ -34,11 +34,16 @@ sampling *blocks* of :attr:`CampaignSpec.block_samples` samples each.
 Block ``b`` draws from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
 -- the sub-stream depends only on the campaign seed and the block index,
 never on chunking or worker count.  Within a block the kernel runs all
-samples in lockstep: standard exponentials are drawn per escalation
-window and scaled by ``1/((n - step) * rate)``, failure orders are drawn
-without replacement by vectorized rejection sampling, and per-dimension
-coordinate occupancy plus the faulty-crossbar line list give the
-feasibility count above with a handful of numpy gathers per step.
+samples in lockstep and keeps state for the *live* walks only (ended
+walks are scattered to the outputs and compressed out): standard
+exponentials are drawn per escalation window and scaled by
+``1/((n - step) * rate)``, failure orders are drawn without replacement
+by vectorized rejection sampling over the live walks in sample order,
+and coordinate occupancy is one bit per coordinate in ``uint64`` planes
+(:meth:`SwitchUniverse._build_occupancy_bits`), so a router fault is an
+OR, the free-coordinate counts follow from the freshly set bits, and
+"is this faulty crossbar's line blocked" is an AND against the line's
+bits -- elementwise, no gather through a row index.
 
 **Deterministic streaming reduction.**  Each block reduces to a tiny
 :class:`BlockState` -- Welford ``(samples, mean, M2)`` over the death
@@ -48,7 +53,8 @@ never per-sample arrays, and the parent folds them **strictly in block
 index order** with Chan's merge.  The merge is not associative, so the
 fixed fold order is what makes serial, chunked, any ``--jobs``, and
 checkpoint/resumed campaigns byte-identical -- hashed by
-:attr:`CampaignResult.identity_sha256` and gated by bench + CI.
+:attr:`CampaignResult.identity_sha256`, pinned against recorded values
+by ``TestKernelGolden`` and CI's campaign smoke.
 
 Dispatch goes through :meth:`repro.runtime.session.SweepSession.run_tasks`
 (the generic warm-pool fan-out added for campaigns): thousands of
@@ -78,8 +84,10 @@ from .reliability import MTTFEstimate
 #: samples per sampling block -- the atomic unit of RNG seeding and
 #: reduction.  Part of the campaign identity: changing it changes which
 #: sub-stream draws which sample.  16384 amortizes the kernel's
-#: per-step numpy dispatch overhead (~1.5x the throughput of 4096 on
-#: the full machine) while a block's working set stays a few MB.
+#: per-step numpy dispatch overhead (~1.3x the throughput of 4096 on
+#: the full machine, 514k vs 394k samples/s in one process) while a
+#: block's working set peaks at 7 MiB (tracemalloc; 65536 would reach
+#: 620k samples/s at 28 MiB a worker).
 DEFAULT_BLOCK_SAMPLES = 16384
 
 #: steps the block kernel runs before re-checking how many samples are
@@ -134,8 +142,8 @@ class SwitchUniverse:
             else:
                 cols = np.zeros((lines, 0), dtype=np.int64)
             # expand the line key to full width; the slot at ``dim`` is a
-            # placeholder (0 keeps fancy indexing in range) and is always
-            # masked out by the per-row first-dimension check
+            # placeholder nothing reads: the oracle skips the crossbars'
+            # own (first) dimension and ``line_bits`` leaves it out
             full = np.zeros((lines, d), dtype=np.int64)
             full[:, [k for k in range(d) if k != dim]] = cols
             xb_dim.extend([dim] * lines)
@@ -147,6 +155,48 @@ class SwitchUniverse:
             else np.zeros((0, d), dtype=np.int64)
         )
         self.num_switches = self.num_routers + len(self.xb_dim)
+        self._build_occupancy_bits()
+
+    def _build_occupancy_bits(self) -> None:
+        """One-hot tables for the block kernel's occupancy masks.
+
+        The coordinates of all wide dimensions form one bit string
+        (dimension ``k``'s coordinate ``c`` is bit ``offset[k] + c``),
+        cut into 64-bit *planes* -- so any extent works, and the SR2201's
+        16 + 16 + 8 coordinates share a single plane.
+        ``router_bits[p, switch]`` holds a router's coordinate bits
+        (all-zero columns for crossbars), ``line_bits[p, xb]`` a
+        crossbar line's (nothing on the crossbar's own dimension), and
+        ``dim_segments`` lists ``(wide index, plane, mask)`` for every
+        plane a wide dimension's bits fall into.
+        """
+        total = sum(self.shape[k] for k in self.wide_dims)
+        planes = -(-total // 64)
+        self.router_bits = np.zeros((planes, self.num_switches), np.uint64)
+        self.line_bits = np.zeros((planes, len(self.xb_dim)), np.uint64)
+        self.dim_segments: List[Tuple[int, int, np.uint64]] = []
+        offset = 0
+        for w, k in enumerate(self.wide_dims):
+            end = offset + self.shape[k]
+            elsewhere = np.flatnonzero(self.xb_dim != k)
+            for table, cols, coord in (
+                (
+                    self.router_bits,
+                    np.arange(self.num_routers),
+                    self.router_coords[:, k],
+                ),
+                (self.line_bits, elsewhere, self.xb_line[elsewhere, k]),
+            ):
+                # each column is hit once per dimension, so the in-place
+                # OR through a fancy index never meets a repeated cell
+                table[(offset + coord) // 64, cols] |= np.uint64(1) << (
+                    (offset + coord) % 64
+                ).astype(np.uint64)
+            for p in range(offset // 64, (end - 1) // 64 + 1):
+                lo, hi = max(offset, 64 * p), min(end, 64 * (p + 1))
+                mask = ((1 << (hi - lo)) - 1) << (lo - 64 * p)
+                self.dim_segments.append((w, p, np.uint64(mask)))
+            offset = end
 
     # ---------------------------------------------------------- conversions
     def fault(self, index: int) -> Fault:
@@ -372,15 +422,6 @@ def wilson_interval(
 # --------------------------------------------------------------------------
 
 
-def _grow(arr: np.ndarray, new_cols: int, fill) -> np.ndarray:
-    extra = np.full(
-        (arr.shape[0], new_cols - arr.shape[1]) + arr.shape[2:],
-        fill,
-        dtype=arr.dtype,
-    )
-    return np.concatenate([arr, extra], axis=1)
-
-
 def sample_block(
     universe: SwitchUniverse,
     rng: np.random.Generator,
@@ -399,115 +440,130 @@ def sample_block(
     ``simulate_extended_facility`` walk: a walk that dies at fault ``k``
     *survived* ``k - 1`` faults when infeasible, ``k`` when capped.
 
+    Every state array holds the *live* walks only, walks on the last
+    axis, in ascending sample order (column ``i`` is sample ``idx[i]``):
+    walks that end are scattered to the outputs and compressed out, so
+    a step touches nothing that is dead.  The draws are therefore
+    exactly one ``standard_exponential((live, window))`` per window and
+    one ``integers(0, n, live)`` plus its rejection redraws per step --
+    the stream contract ``TestKernelGolden`` pins.
+
     Returns ``(times, depth, infeasible)`` arrays, plus the per-sample
     failure orders when ``debug`` (the parity tests replay those
     prefixes through ``make_config``).
     """
     n = universe.num_switches
     r = universe.num_routers
-    d = universe.num_dims
     cap = n if max_faults is None else max(1, min(int(max_faults), n))
-    times = np.zeros(size, dtype=np.float64)
-    depth = np.zeros(size, dtype=np.int64)
-    infeasible = np.zeros(size, dtype=bool)
-    # 128 columns covers the observed depth tail even on the full
-    # machine (p99.9 ~ 52, max ~ 65 on 16x16x8); deeper walks fall back
-    # to _grow, whose full-array copy is the expensive path.
-    chosen = np.full((size, min(cap, 128)), -1, dtype=np.int64)
-    occ = {
-        k: np.zeros((size, universe.shape[k]), dtype=bool)
-        for k in universe.wide_dims
-    }
-    free = np.zeros((size, d), dtype=np.int64)
-    for k in universe.wide_dims:
-        free[:, k] = universe.shape[k]
-    xbdim = np.full(size, -1, dtype=np.int64)
-    xbcnt = np.zeros(size, dtype=np.int64)
-    xblines = np.zeros((size, 4, d), dtype=np.int64)
+    times_out = np.zeros(size, dtype=np.float64)
+    depth_out = np.zeros(size, dtype=np.int64)
+    infeasible_out = np.zeros(size, dtype=bool)
+    orders: List[List[int]] = [[] for _ in range(size)] if debug else []
 
+    wide = np.asarray(universe.wide_dims, dtype=np.int64)[:, None]
+    extents = np.array(
+        [universe.shape[k] for k in universe.wide_dims], dtype=np.int64
+    )
+    planes = universe.router_bits.shape[0]
     idx = np.arange(size)
+    times = np.zeros(size, dtype=np.float64)
+    # occupied coordinates, one bit each (see _build_occupancy_bits)
+    occ = np.zeros((planes, size), dtype=np.uint64)
+    # unoccupied coordinates per wide dimension
+    free = np.repeat(extents[:, None], size, axis=1)
+    # the dimension routed first: that of the walk's faulty crossbars
+    # (all of one dimension, or the walk is dead), 0 while it has none
+    first = np.zeros(size, dtype=np.int64)
+    xbcnt = np.zeros(size, dtype=np.int64)
+    # coordinate bits of each faulty crossbar's line, one slot per
+    # crossbar; unused slots stay 0 and so never read as blocked
+    lines = np.zeros((planes, 0, size), dtype=np.uint64)
+    chosen = np.empty((min(cap, 4), size), dtype=np.int32)
+
     step = 0
     while idx.size:
         window = min(_WINDOW, cap - step)
         exps = rng.standard_exponential((idx.size, window))
         pos = np.arange(idx.size)
         for j in range(window):
-            rows = idx
-            if step + 1 > chosen.shape[1]:
-                chosen = _grow(
-                    chosen, min(cap, max(2 * chosen.shape[1], step + window)), -1
-                )
             # without-replacement draw: uniform over all n switches,
-            # rejecting (and redrawing) indices the row already holds
-            cand = rng.integers(0, n, size=rows.size)
+            # rejecting (and redrawing) indices the walk already holds
+            cand = rng.integers(0, n, size=idx.size)
             if step:
-                bad = np.flatnonzero(
-                    (chosen[rows, :step] == cand[:, None]).any(axis=1)
-                )
+                held = chosen[:step]
+                bad = np.flatnonzero((held == cand.astype(np.int32)).any(axis=0))
                 while bad.size:
                     cand[bad] = rng.integers(0, n, size=bad.size)
-                    still = (
-                        chosen[rows[bad], :step] == cand[bad][:, None]
-                    ).any(axis=1)
+                    still = (held[:, bad] == cand[bad]).any(axis=0)
                     bad = bad[still]
-            chosen[rows, step] = cand
-            times[rows] += exps[pos, j] / ((n - step) * rate)
+            if step == chosen.shape[0]:
+                chosen = np.concatenate([chosen, np.empty_like(chosen)])
+            chosen[step] = cand
+            times += exps[pos, j] / ((n - step) * rate)
 
-            is_router = cand < r
-            r_rows = rows[is_router]
-            if r_rows.size:
-                coords = universe.router_coords[cand[is_router]]
-                for k in universe.wide_dims:
-                    col = coords[:, k]
-                    was = occ[k][r_rows, col]
-                    occ[k][r_rows, col] = True
-                    free[r_rows, k] -= (~was).astype(np.int64)
-            dead_r1 = np.zeros(rows.size, dtype=bool)
-            x_sel = np.flatnonzero(~is_router)
-            if x_sel.size:
-                xi = cand[x_sel] - r
-                xd = universe.xb_dim[xi]
-                prev = xbdim[rows[x_sel]]
-                conflict = (prev >= 0) & (prev != xd)
-                dead_r1[x_sel[conflict]] = True
-                ok = x_sel[~conflict]
-                if ok.size:
-                    ok_rows = rows[ok]
-                    cnt = xbcnt[ok_rows]
-                    if int(cnt.max()) + 1 > xblines.shape[1]:
-                        xblines = _grow(xblines, 2 * xblines.shape[1], 0)
-                    xbdim[ok_rows] = xd[~conflict]
-                    xblines[ok_rows, cnt, :] = universe.xb_line[xi[~conflict]]
-                    xbcnt[ok_rows] = cnt + 1
+            # router faults occupy their coordinates (crossbar columns
+            # of router_bits are zero, so they pass through untouched)
+            bits = universe.router_bits.take(cand, axis=1)
+            fresh = bits & ~occ
+            occ |= bits
+            for w, p, mask in universe.dim_segments:
+                free[w] -= (fresh[p] & mask) != 0
 
-            first = np.where(xbdim[rows] >= 0, xbdim[rows], 0)
-            count = np.ones(rows.size, dtype=np.int64)
-            for k in universe.wide_dims:
-                count *= np.where(first == k, 1, free[rows, k])
-            max_xb = int(xbcnt[rows].max()) if rows.size else 0
-            for m in range(max_xb):
-                has = xbcnt[rows] > m
-                line = xblines[rows, m]
-                blocked = np.zeros(rows.size, dtype=bool)
-                for k in universe.wide_dims:
-                    blocked |= (first != k) & occ[k][rows, line[:, k]]
-                count -= (has & ~blocked).astype(np.int64)
+            # crossbar faults: rule R1 (a second crossbar dimension
+            # kills the walk), else remember the line
+            x_sel = np.flatnonzero(cand >= r)
+            xi = cand[x_sel] - r
+            xd = universe.xb_dim[xi]
+            conflict = (xbcnt[x_sel] > 0) & (first[x_sel] != xd)
+            ok = x_sel[~conflict]
+            if ok.size:
+                cnt = xbcnt[ok]
+                if int(cnt.max()) == lines.shape[1]:
+                    slot = np.zeros((planes, 1, idx.size), dtype=np.uint64)
+                    lines = np.concatenate([lines, slot], axis=1)
+                first[ok] = xd[~conflict]
+                lines[:, cnt, ok] = universe.line_bits[:, xi[~conflict]]
+                xbcnt[ok] = cnt + 1
 
-            died = dead_r1 | (count < need)
-            stop = died | (step + 1 >= cap)
+            # rule R2: the product set of free coordinates outside the
+            # first dimension, minus the faulty crossbars' lines inside
+            # it.  ``free * ~excluded + excluded`` is ``where(excluded,
+            # 1, free)`` without the branch (the mask is unpredictable).
+            excluded = first == wide
+            count = (free * ~excluded + excluded).prod(axis=0)
+            slots = lines.shape[1]
+            if slots:
+                blocked = np.logical_or.reduce(occ[:, None, :] & lines, axis=0)
+                # summed as bytes in the narrowest type that holds
+                # ``slots`` (bool -> int64 accumulation is 10x slower)
+                count -= xbcnt - blocked.view(np.uint8).sum(
+                    axis=0, dtype=np.min_scalar_type(slots)
+                )
+
+            died = count < need
+            died[x_sel] |= conflict
             step += 1
+            stop = died if step < cap else np.ones(idx.size, dtype=bool)
             if stop.any():
-                ended = rows[stop]
-                depth[ended] = step
-                infeasible[ended] = died[stop]
-                idx = rows[~stop]
-                pos = pos[~stop]
+                ended = idx[stop]
+                times_out[ended] = times[stop]
+                depth_out[ended] = step
+                infeasible_out[ended] = died[stop]
+                if debug:
+                    for i, order in zip(ended, chosen[:step, stop].T.tolist()):
+                        orders[i] = order
+                kept = np.flatnonzero(~stop)
+                idx, pos, times, first, xbcnt, occ, free, lines, chosen = (
+                    state.take(kept, axis=-1)
+                    for state in (
+                        idx, pos, times, first, xbcnt, occ, free, lines, chosen
+                    )
+                )
             if idx.size == 0:
                 break
     if debug:
-        orders = [chosen[i, : depth[i]].tolist() for i in range(size)]
-        return times, depth, infeasible, orders
-    return times, depth, infeasible
+        return times_out, depth_out, infeasible_out, orders
+    return times_out, depth_out, infeasible_out
 
 
 def _reduce_block(
@@ -671,10 +727,6 @@ class CampaignCheckpoint:
             blocks_done=int(doc["blocks_done"]),
             state=BlockState.from_dict(doc["state"]),
         )
-
-
-class DisconnectRow(Tuple):
-    pass
 
 
 @dataclass(frozen=True)
