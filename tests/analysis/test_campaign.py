@@ -45,32 +45,30 @@ with open(
 MASK_SHAPES = [(70, 2), (1, 130), (65, 3), (64, 2), (1,), (1, 1), (2, 2, 2, 2)]
 
 
-def _make_config_judge(shape):
-    singles = all_single_faults(shape)
-
-    def feasible(indices, need):
-        assert need == 1
-        try:
-            make_config(shape, faults=tuple(singles[j] for j in sorted(indices)))
-            return True
-        except ConfigError:
-            return False
-
-    return feasible
+def _make_config_judge(uni, indices, need=1):
+    """Ground truth for the SAFE scheme (``need == 1``): ``make_config``
+    on the fault set itself (``uni.fault`` order is pinned by
+    ``test_index_order_matches_all_single_faults``)."""
+    assert need == 1
+    try:
+        make_config(uni.shape, faults=tuple(uni.fault(j) for j in sorted(indices)))
+        return True
+    except ConfigError:
+        return False
 
 
-def _oracle_judge(shape):
-    """``SwitchUniverse.feasible`` -- pinned == ``make_config`` by
-    ``test_oracle_matches_make_config_exactly`` and cheap enough for
-    shapes where ``make_config`` per prefix is not."""
-    return SwitchUniverse(shape).feasible
+#: the closed-form oracle -- pinned == ``make_config`` by
+#: ``test_oracle_matches_make_config_exactly`` and cheap enough for
+#: shapes where ``make_config`` per prefix is not
+_oracle_judge = SwitchUniverse.feasible
 
 
-def assert_legal_scalar_walks(shape, rng, size, cap, need, feasible):
+def assert_legal_scalar_walks(shape, rng, size, cap, need, judge):
     """Every proper prefix of a walk's failure order is feasible, the
     full order infeasible exactly when the kernel says the walk died
     (capped walks end feasible at the cap)."""
     uni = SwitchUniverse(shape)
+    n = uni.num_switches
     times, depth, infeasible, orders = sample_block(
         uni, rng, size, max_faults=cap, need=need, debug=True
     )
@@ -79,15 +77,14 @@ def assert_legal_scalar_walks(shape, rng, size, cap, need, feasible):
         order = orders[i]
         assert len(order) == depth[i]
         assert len(set(order)) == len(order)  # without replacement
-        assert all(0 <= j < uni.num_switches for j in order)
+        assert all(0 <= j < n for j in order)
         for plen in range(1, len(order) + 1):
-            ok = feasible(order[:plen], need)
+            ok = judge(uni, order[:plen], need)
             if plen < len(order):
                 assert ok, (shape, need, cap, order[:plen])
             else:
                 assert ok != bool(infeasible[i]), (shape, need, cap, order)
         if not infeasible[i]:
-            n = uni.num_switches
             assert len(order) == (n if cap is None else min(cap, n))
 
 
@@ -175,7 +172,7 @@ class TestSampleBlock:
         ]
         for shape, cap, need, judge in cases:
             assert_legal_scalar_walks(
-                shape, np.random.default_rng(42), 60, cap, need, judge(shape)
+                shape, np.random.default_rng(42), 60, cap, need, judge
             )
 
     @given(
@@ -187,8 +184,7 @@ class TestSampleBlock:
     @settings(max_examples=60, deadline=None)
     def test_walks_are_legal_on_random_shapes(self, shape, seed, need, cap):
         assert_legal_scalar_walks(
-            shape, np.random.default_rng(seed), 12, cap, need,
-            _oracle_judge(shape),
+            shape, np.random.default_rng(seed), 12, cap, need, _oracle_judge
         )
 
     def test_times_are_positive_and_increasing_with_depth(self):
@@ -386,8 +382,7 @@ class TestKernelGolden:
         "golden", GOLDEN["specs"], ids=lambda g: json.dumps(g["spec"])
     )
     def test_identity_and_mean(self, golden):
-        doc = dict(golden["spec"], shape=tuple(golden["spec"]["shape"]))
-        result = run_campaign(CampaignSpec(**doc), jobs=1)
+        result = run_campaign(CampaignSpec(**golden["spec"]), jobs=1)
         assert result.identity_sha256 == golden["identity_sha256"]
         assert result.estimate().mean.hex() == golden["mean_hex"]
 
