@@ -104,6 +104,8 @@ class FaultRegistry:
     fault: Optional[Fault] = None
     faults: Tuple[Fault, ...] = ()
     _info: Dict[ElementId, LocalFaultInfo] = field(default_factory=dict)
+    #: the faulty elements, for O(1) membership
+    _faulty: FrozenSet[ElementId] = field(default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
         if self.fault is not None and self.faults:
@@ -114,6 +116,7 @@ class FaultRegistry:
         elif len(self.faults) == 1:
             self.fault = self.faults[0]
         self.faults = tuple(self.faults)
+        self._faulty = frozenset(f.element for f in self.faults)
         xb_ports: Dict[ElementId, set] = {}
         rtr_dims: Dict[ElementId, set] = {}
         for f in self.faults:
@@ -152,7 +155,7 @@ class FaultRegistry:
         )
 
     def is_faulty(self, el: ElementId) -> bool:
-        return any(f.element == el for f in self.faults)
+        return el in self._faulty
 
     def router_is_faulty(self, coord: Coord) -> bool:
         return self.is_faulty(rtr(coord))

@@ -166,52 +166,134 @@ def compute_route(
     configuration never produces) and propagates :class:`RoutingError` from
     the relation for invalid states.
     """
+    walk = _RouteWalk(topo, logic, flow, max_steps)
+    walk.run()
+    return walk.tree
 
-    header = flow.initial_header()
-    if isinstance(flow, Unicast):
-        logic.check_deliverable(flow.source, flow.dest)
-    else:
-        logic.check_deliverable(flow.source, flow.source)
 
-    root = topo.injection_channel(flow.source)
-    tree = RouteTree(flow=flow, root=root)
-    tree.parent[root] = None
-    tree.children[root] = []
-    tree.rc_on[root] = header.rc
-    limit = max_steps if max_steps is not None else 4 * topo.num_channels + 16
+class _RouteWalk:
+    """The breadth-first expansion behind :func:`compute_route`, resumable:
+    ``run(until_serialize=True)`` returns right after the first serialized
+    (S-XB) decision has been applied, so :func:`route_all_broadcasts` can
+    walk a broadcast's request leg alone."""
 
-    # BFS frontier: (channel just traversed, rc carried on it)
-    frontier = deque([(root, header.rc)])
-    steps = 0
-    while frontier:
-        chan, rc = frontier.popleft()
-        el = chan.dst
-        if element_kind(el) is ElementKind.PE:
-            tree.delivered.add(el[1])
-            continue
-        steps += 1
-        if steps > limit:
-            raise RouteLoopError(
-                f"flow {flow} exceeded {limit} routing steps; livelock?"
-            )
-        decision = logic.decide(el, chan.src, header.with_rc(rc))
-        if decision.drop:
-            tree.dropped_at.append(el)
-            continue
-        for out_el in decision.outputs:
-            out_chan = topo.channel(el, out_el)
-            if out_chan in tree.parent:
+    def __init__(
+        self,
+        topo: Topology,
+        logic: RouteRelation,
+        flow: Flow,
+        max_steps: Optional[int] = None,
+    ) -> None:
+        header = flow.initial_header()
+        if isinstance(flow, Unicast):
+            logic.check_deliverable(flow.source, flow.dest)
+        else:
+            logic.check_deliverable(flow.source, flow.source)
+
+        root = topo.injection_channel(flow.source)
+        tree = RouteTree(flow=flow, root=root)
+        tree.parent[root] = None
+        tree.children[root] = []
+        tree.rc_on[root] = header.rc
+        self.topo, self.logic, self.header, self.tree = topo, logic, header, tree
+        self.limit = (
+            max_steps if max_steps is not None else 4 * topo.num_channels + 16
+        )
+        # BFS frontier: (channel just traversed, rc carried on it)
+        self.frontier = deque([(root, header.rc)])
+        self.steps = 0
+
+    def run(self, until_serialize: bool = False) -> Optional[Decision]:
+        """Expand the frontier; return the serialized decision that stopped
+        the walk, or ``None`` once the frontier is empty."""
+        topo, logic, header, tree = self.topo, self.logic, self.header, self.tree
+        flow, limit, frontier = tree.flow, self.limit, self.frontier
+        while frontier:
+            chan, rc = frontier.popleft()
+            el = chan.dst
+            if element_kind(el) is ElementKind.PE:
+                tree.delivered.add(el[1])
+                continue
+            self.steps += 1
+            if self.steps > limit:
                 raise RouteLoopError(
-                    f"flow {flow} revisited channel {out_chan}; routing loop"
+                    f"flow {flow} exceeded {limit} routing steps; livelock?"
                 )
-            tree.parent[out_chan] = chan
-            tree.children[chan].append(out_chan)
-            tree.children[out_chan] = []
-            tree.rc_on[out_chan] = decision.rc
-            frontier.append((out_chan, decision.rc))
-        if decision.serialize:
-            tree.serialize_entries.append(chan)
-    return tree
+            decision = logic.decide(el, chan.src, header.with_rc(rc))
+            if decision.drop:
+                tree.dropped_at.append(el)
+                continue
+            for out_el in decision.outputs:
+                out_chan = topo.channel(el, out_el)
+                if out_chan in tree.parent:
+                    raise RouteLoopError(
+                        f"flow {flow} revisited channel {out_chan}; routing loop"
+                    )
+                tree.parent[out_chan] = chan
+                tree.children[chan].append(out_chan)
+                tree.children[out_chan] = []
+                tree.rc_on[out_chan] = decision.rc
+                frontier.append((out_chan, decision.rc))
+            if decision.serialize:
+                tree.serialize_entries.append(chan)
+                if until_serialize:
+                    return decision
+        return None
+
+
+class _Spread:
+    """What a broadcast walk does after its S-XB decision, walked once and
+    grafted under every later source's request leg (see
+    :func:`route_all_broadcasts`)."""
+
+    def __init__(self, walk: _RouteWalk, decision: Decision) -> None:
+        """Finish ``walk``, stopped at its S-XB ``decision``, recording
+        what followed that decision."""
+        tree = walk.tree
+        leg_end, leg_steps = len(tree.parent), walk.steps
+        leg_dropped, leg_delivered = len(tree.dropped_at), set(tree.delivered)
+        walk.run()
+        chans = list(tree.parent)
+        self.decision = decision
+        self.sxb = tree.serialize_entries[0].dst
+        self.steps = walk.steps - leg_steps
+        #: channels below the S-XB outputs, and the spread's dict entries as
+        #: (channel, value) pairs in insertion order (``children`` from the
+        #: S-XB outputs on: they are re-parented, not added)
+        self.below = chans[leg_end:]
+        self.parent = [(c, tree.parent[c]) for c in self.below]
+        self.children = [
+            (c, tree.children[c])
+            for c in chans[leg_end - len(decision.outputs):]
+        ]
+        self.rc_on = [(c, tree.rc_on[c]) for c in self.below]
+        self.serialize_entries = tree.serialize_entries[1:]
+        self.delivered = tree.delivered - leg_delivered
+        self.dropped_at = tree.dropped_at[leg_dropped:]
+
+    def graft(self, walk: _RouteWalk, decision: Decision) -> None:
+        """Finish ``walk``, stopped at its S-XB decision, with a copy of the
+        spread; leave it untouched when that decision differs."""
+        tree = walk.tree
+        if decision != self.decision or tree.serialize_entries[0].dst != self.sxb:
+            return
+        if not tree.parent.keys().isdisjoint(self.below):
+            c = next(c for c in self.below if c in tree.parent)
+            raise RouteLoopError(
+                f"flow {tree.flow} revisited channel {c}; routing loop"
+            )
+        walk.steps += self.steps
+        if walk.steps > walk.limit:
+            raise RouteLoopError(
+                f"flow {tree.flow} exceeded {walk.limit} routing steps; livelock?"
+            )
+        tree.parent.update(self.parent)
+        tree.children.update([(c, list(kids)) for c, kids in self.children])
+        tree.rc_on.update(self.rc_on)
+        tree.serialize_entries.extend(self.serialize_entries)
+        tree.delivered.update(self.delivered)
+        tree.dropped_at.extend(self.dropped_at)
+        walk.frontier.clear()
 
 
 def walk_unicast_states(
@@ -302,6 +384,18 @@ def route_all_broadcasts(
 
     Broadcast is the paper facility's feature, so ``logic`` must carry a
     :class:`~repro.core.config.RoutingConfig` (``SwitchLogic`` does).
+
+    Each tree equals :func:`compute_route`'s, field for field and in dict
+    order.  Under the serialized facility a tree is the source's request
+    leg (a path) plus the S-XB spread: the S-XB decision does not read the
+    input port and no spread decision reads the header beyond its RC, so
+    the spread is the same for every source.  The first tree is walked in
+    full; every later source walks its leg, S-XB decision included, and
+    takes a copy of the first spread when that decision is the same and
+    nothing else is pending (otherwise it is walked in full) -- with
+    ``check_deliverable`` per source, :class:`RouteLoopError` when the leg
+    meets a spread channel and the step limit counted over leg plus
+    spread, as :func:`compute_route` would.
     """
     from .config import BroadcastMode
 
@@ -313,4 +407,17 @@ def route_all_broadcasts(
     dead = set(relation_dead_nodes(logic))
     nodes = [c for c in topo.node_coords() if c not in dead]
     srcs = [c for c in (sources if sources is not None else nodes) if c not in dead]
-    return [compute_route(topo, logic, Broadcast(s, rc0)) for s in srcs]
+    trees: List[RouteTree] = []
+    spread: Optional[_Spread] = None
+    for s in srcs:
+        walk = _RouteWalk(topo, logic, Broadcast(s, rc0))
+        decision = walk.run(until_serialize=True)
+        # shareable only when nothing but the S-XB's outputs is pending
+        if decision is not None and len(walk.frontier) == len(decision.outputs):
+            if spread is None:
+                spread = _Spread(walk, decision)
+            else:
+                spread.graft(walk, decision)
+        walk.run()  # a no-op unless no spread was taken
+        trees.append(walk.tree)
+    return trees

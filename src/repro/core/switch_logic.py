@@ -42,12 +42,17 @@ Crossbar (XB of dimension ``k``), by RC bit:
   to all ports including the input's.
 * ``DETOUR`` -- at the D-XB: rewrite RC to NORMAL and route by the receiving
   address again.  At a non-first-dimension XB: forward toward the D-XB line.
+
+Each rule reads only part of its inputs, so :meth:`SwitchLogic.decide`
+caches every decision on exactly that part (the key table is in
+:meth:`SwitchLogic.decide` and DESIGN.md 5l) and runs a rule once per
+distinct key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..topology.base import ElementId, element_kind, ElementKind, pe, rtr
 from ..topology.mdcrossbar import MDCrossbar
@@ -112,10 +117,71 @@ class SwitchLogic:
         self.registry = registry or FaultRegistry(topo, faults=config.all_faults())
         if tuple(self.registry.faults) != tuple(config.all_faults()):
             raise ValueError("fault registry does not match the configuration")
+        self._dxb = config.dxb_element
+        #: every decision made so far, on the key :meth:`decide` derives.
+        #: No eviction: at most 2d + 4 keys per router and 2 x extent + 2
+        #: per crossbar, plus extent at the D-XB (~34 k on 16x16x8)
+        self._decisions: Dict[tuple, Decision] = {}
 
     # ------------------------------------------------------------------ API
     def decide(self, el: ElementId, in_from: ElementId, header: Header) -> Decision:
-        """Next-hop decision of switch ``el`` for a header from ``in_from``."""
+        """Next-hop decision of switch ``el`` for a header from ``in_from``.
+
+        Cached on what the rule for ``(switch kind, rc)`` reads:
+
+        ==========================================  ========================
+        router, NORMAL                              ``(el, rc, k)``, ``k`` the
+                                                    first differing dimension
+                                                    in routing order (``None``:
+                                                    deliver)
+        router, BROADCAST                           ``(el, rc, in_from)``
+        router, BROADCAST_REQUEST / DETOUR          ``(el, rc)``
+        crossbar, NORMAL (and DETOUR at the D-XB)   ``(el, rc, dest[dim])``
+        crossbar, BROADCAST                         ``(el, rc, in_from)``
+        other crossbar legs                         ``(el, rc)``
+        ==========================================  ========================
+
+        A crossbar whose target port is locally faulty (the rule then also
+        reads whether the destination is on this line, and the input port)
+        and a crossbar entered from a non-router are never cached.  A
+        :class:`RoutingError` propagates before anything is stored, so it
+        is raised on every call.  :class:`Decision` is frozen: callers
+        share the cached object.
+        """
+        rc = header.rc
+        kind = el[0]
+        if kind == "RTR":
+            if rc is RC.NORMAL:
+                c, dest = el[1], header.dest
+                for k in self.config.order:
+                    if c[k] != dest[k]:
+                        break
+                else:
+                    k = None
+                key = (el, rc, k)
+            elif rc is RC.BROADCAST:
+                key = (el, rc, in_from)
+            else:
+                key = (el, rc)
+        elif kind == "XB" and in_from[0] == "RTR":
+            if rc is RC.NORMAL or (rc is RC.DETOUR and el == self._dxb):
+                t = header.dest[el[1]]
+                if t in self.registry.info(el).faulty_ports:
+                    return self._rule(el, in_from, header)
+                key = (el, rc, t)
+            elif rc is RC.BROADCAST:
+                key = (el, rc, in_from)
+            else:
+                key = (el, rc)
+        else:
+            return self._rule(el, in_from, header)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._rule(el, in_from, header)
+        return decision
+
+    def _rule(self, el: ElementId, in_from: ElementId, header: Header) -> Decision:
+        """The decision rules themselves, uncached."""
         kind = element_kind(el)
         if kind is ElementKind.RTR:
             return self._route_router(el[1], in_from, header)

@@ -106,3 +106,22 @@ class TestRegistryNoFault:
     def test_invalid_fault_rejected_at_build(self, topo):
         with pytest.raises(ValueError):
             FaultRegistry(topo, Fault.router((5, 5)))
+
+
+class TestRegistryMultiFault:
+    def test_membership_agrees_with_the_fault_list(self, topo):
+        faults = (
+            Fault.router((2, 1)),
+            Fault.router((0, 2)),
+            Fault.crossbar(0, (1,)),
+            Fault.crossbar(1, (3,)),
+        )
+        reg = FaultRegistry(topo, faults=faults)
+        for el in topo.elements():
+            listed = any(f.element == el for f in faults)
+            assert reg.is_faulty(el) is listed
+            if el[0] == "RTR":
+                assert reg.router_is_faulty(el[1]) is listed
+            elif el[0] == "XB":
+                assert reg.xb_is_faulty(el[1], el[2]) is listed
+        assert sum(map(reg.is_faulty, topo.elements())) == len(faults)

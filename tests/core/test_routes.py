@@ -1,23 +1,32 @@
 """Unit tests for static route computation (trees, paths, RC traces)."""
 
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from repro.core import (
     Broadcast,
+    Decision,
     Fault,
     RC,
+    SwitchLogic,
     Unicast,
     compute_route,
+    make_config,
     route_all_broadcasts,
     route_all_unicasts,
 )
+from repro.core.config import BroadcastMode, ConfigError
 from repro.core.dimension_order import (
     expected_normal_elements,
     expected_request_leg_elements,
     expected_xb_hops,
 )
+from repro.core.multifault import all_single_faults
 from repro.core.routes import RouteLoopError
 from repro.core.switch_logic import UnreachableDestinationError
+from repro.topology import MDCrossbar, pe, rtr, xb
 from tests.conftest import make_logic
 
 
@@ -214,3 +223,153 @@ class TestTreeAccessors:
     def test_loop_guard_raises_on_tiny_budget(self, topo43, logic43):
         with pytest.raises(RouteLoopError):
             compute_route(topo43, logic43, Broadcast((2, 2)), max_steps=2)
+
+
+def tree_fields(tree):
+    """Every field of a route tree, dicts as their items in insertion order."""
+    return (
+        tree.flow,
+        tree.root,
+        list(tree.parent.items()),
+        list(tree.children.items()),
+        list(tree.rc_on.items()),
+        tree.serialize_entries,
+        tree.delivered,
+        tree.dropped_at,
+    )
+
+
+# relations that break, in one switch each, what the shared spread relies on
+class InputDependentSXB(SwitchLogic):
+    """The S-XB serves one port less when entered from (3, 0): that leg's
+    spread is not the first one's."""
+
+    def decide(self, el, in_from, header):
+        d = super().decide(el, in_from, header)
+        if d.serialize and in_from == rtr((3, 0)):
+            return replace(d, outputs=d.outputs[:-1])
+        return d
+
+
+class SerializingSpreadRouter(SwitchLogic):
+    """A spread router that serializes as well: its entry belongs to every
+    copy of the spread."""
+
+    def decide(self, el, in_from, header):
+        d = super().decide(el, in_from, header)
+        if el == rtr((2, 1)) and header.rc is RC.BROADCAST:
+            return replace(d, serialize=True)
+        return d
+
+
+class ForkingLeg(SwitchLogic):
+    """The request leg from (1, 2) forks at its source; the second branch
+    is still pending when the S-XB decides, and is dropped after it."""
+
+    FORK = {
+        (rtr((1, 2)), pe((1, 2))): (xb(1, (1,)), xb(0, (2,))),
+        (xb(0, (2,)), rtr((1, 2))): (rtr((3, 2)),),
+        (xb(1, (3,)), rtr((3, 2))): (),
+    }
+
+    def decide(self, el, in_from, header):
+        outputs = self.FORK.get((el, in_from))
+        if outputs is None or header.rc is not RC.BROADCAST_REQUEST:
+            return super().decide(el, in_from, header)
+        return Decision(outputs=outputs, rc=header.rc, drop=not outputs)
+
+
+class DroppingLeg(ForkingLeg):
+    """The same fork, its second branch dropped before the S-XB decides."""
+
+    FORK = {
+        (rtr((1, 2)), pe((1, 2))): (xb(1, (1,)), xb(0, (2,))),
+        (xb(0, (2,)), rtr((1, 2))): (),
+    }
+
+
+class Crossing(SwitchLogic):
+    """The request leg from (3, 2) detours through (3, 1), taking the
+    spread's channel XB1(3,) -> RTR(3, 1) on its way to the S-XB."""
+
+    def decide(self, el, in_from, header):
+        if (el, in_from, header.rc) == (xb(1, (3,)), rtr((3, 2)), RC.BROADCAST_REQUEST):
+            return Decision(outputs=(rtr((3, 1)),), rc=header.rc)
+        return super().decide(el, in_from, header)
+
+
+class TestSharedSpread:
+    """``route_all_broadcasts`` walks the S-XB spread once and grafts it
+    under every later request leg; each tree must still be exactly the one
+    :func:`compute_route` builds on a fresh relation."""
+
+    @staticmethod
+    def assert_trees_are_compute_route(topo, config, sources=None):
+        trees = route_all_broadcasts(topo, SwitchLogic(topo, config), sources)
+        reference = SwitchLogic(topo, config)
+        rc0 = RC.BROADCAST_REQUEST if (
+            config.broadcast_mode is BroadcastMode.SERIALIZED
+        ) else RC.BROADCAST
+        dead = set(reference.registry.dead_pes())
+        srcs = [
+            s for s in (topo.node_coords() if sources is None else sources)
+            if s not in dead
+        ]
+        assert len(trees) == len(srcs)
+        for tree, s in zip(trees, srcs):
+            want = compute_route(topo, reference, Broadcast(s, rc0))
+            assert tree_fields(tree) == tree_fields(want), s
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (3, 3, 2), (5, 1, 3)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_every_single_fault(self, shape):
+        topo = MDCrossbar(shape)
+        for fault in [None, *all_single_faults(shape)]:
+            for mode in BroadcastMode:
+                config = make_config(shape, fault=fault, broadcast_mode=mode)
+                self.assert_trees_are_compute_route(topo, config)
+
+    def test_every_feasible_fault_pair(self, topo43):
+        for pair in combinations(all_single_faults((4, 3)), 2):
+            for mode in BroadcastMode:
+                try:
+                    config = make_config((4, 3), faults=pair, broadcast_mode=mode)
+                except ConfigError:
+                    continue
+                self.assert_trees_are_compute_route(topo43, config)
+
+    def test_source_subsets(self, topo333):
+        # scrambled, repeated, and including a dead source (filtered out)
+        nodes = list(topo333.node_coords())
+        subsets = [nodes[::-3], [nodes[5], nodes[5], nodes[0]], [(1, 1, 1), nodes[2]]]
+        for fault in (None, Fault.router((1, 1, 1))):
+            for mode in BroadcastMode:
+                config = make_config(topo333.shape, fault=fault, broadcast_mode=mode)
+                for sources in subsets:
+                    self.assert_trees_are_compute_route(topo333, config, sources)
+
+    def test_leg_meeting_the_spread_is_a_loop(self, topo43):
+        logic = Crossing(topo43, make_config((4, 3)))
+        with pytest.raises(RouteLoopError) as want:
+            compute_route(topo43, logic, Broadcast((3, 2)))
+        assert "XB1(3,)->RTR(3, 1)" in str(want.value)
+        with pytest.raises(RouteLoopError) as got:
+            route_all_broadcasts(topo43, logic, [(0, 0), (3, 2)])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("first", [None, (1, 2)])
+    @pytest.mark.parametrize(
+        "relation",
+        [InputDependentSXB, SerializingSpreadRouter, ForkingLeg, DroppingLeg],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_relations_outside_the_facility(self, topo43, relation, first):
+        logic = relation(topo43, make_config((4, 3)))
+        sources = list(topo43.node_coords())
+        if first is not None:  # its tree supplies the spread
+            sources.remove(first)
+            sources.insert(0, first)
+        for tree in route_all_broadcasts(topo43, logic, sources):
+            want = compute_route(topo43, logic, tree.flow)
+            assert tree_fields(tree) == tree_fields(want), tree.flow
