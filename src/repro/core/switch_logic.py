@@ -45,7 +45,7 @@ Crossbar (XB of dimension ``k``), by RC bit:
 
 Each rule reads only part of its inputs, so :meth:`SwitchLogic.decide`
 caches every decision on exactly that part (the key table is in
-:meth:`SwitchLogic.decide` and DESIGN.md 5l) and runs a rule once per
+:meth:`SwitchLogic.decision_key` and DESIGN.md 5l) and runs a rule once per
 distinct key.
 """
 
@@ -118,16 +118,32 @@ class SwitchLogic:
         if tuple(self.registry.faults) != tuple(config.all_faults()):
             raise ValueError("fault registry does not match the configuration")
         self._dxb = config.dxb_element
-        #: every decision made so far, on the key :meth:`decide` derives.
+        #: every decision made so far, on :meth:`decision_key`.
         #: No eviction: at most 2d + 4 keys per router and 2 x extent + 2
         #: per crossbar, plus extent at the D-XB (~34 k on 16x16x8)
         self._decisions: Dict[tuple, Decision] = {}
 
     # ------------------------------------------------------------------ API
     def decide(self, el: ElementId, in_from: ElementId, header: Header) -> Decision:
-        """Next-hop decision of switch ``el`` for a header from ``in_from``.
+        """Next-hop decision of switch ``el`` for a header from ``in_from``,
+        cached on :meth:`decision_key`.
 
-        Cached on what the rule for ``(switch kind, rc)`` reads:
+        A :class:`RoutingError` propagates before anything is stored, so
+        it is raised on every call.  :class:`Decision` is frozen: callers
+        share the cached object.
+        """
+        key = self.decision_key(el, in_from, header)
+        if key is None:
+            return self._rule(el, in_from, header)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._rule(el, in_from, header)
+        return decision
+
+    def decision_key(
+        self, el: ElementId, in_from: ElementId, header: Header
+    ) -> Optional[tuple]:
+        """What the rule for ``(switch kind, rc)`` reads, as a cache key:
 
         ==========================================  ========================
         router, NORMAL                              ``(el, rc, k)``, ``k`` the
@@ -141,12 +157,11 @@ class SwitchLogic:
         other crossbar legs                         ``(el, rc)``
         ==========================================  ========================
 
-        A crossbar whose target port is locally faulty (the rule then also
-        reads whether the destination is on this line, and the input port)
-        and a crossbar entered from a non-router are never cached.  A
-        :class:`RoutingError` propagates before anything is stored, so it
-        is raised on every call.  :class:`Decision` is frozen: callers
-        share the cached object.
+        ``None`` when the decision must not be cached: at a crossbar whose
+        target port is locally faulty (the rule then also reads whether
+        the destination is on this line, and the input port), at a
+        crossbar entered from a non-router (the rule raises), and at an
+        element that is not a switch.
         """
         rc = header.rc
         kind = el[0]
@@ -155,30 +170,21 @@ class SwitchLogic:
                 c, dest = el[1], header.dest
                 for k in self.config.order:
                     if c[k] != dest[k]:
-                        break
-                else:
-                    k = None
-                key = (el, rc, k)
-            elif rc is RC.BROADCAST:
-                key = (el, rc, in_from)
-            else:
-                key = (el, rc)
-        elif kind == "XB" and in_from[0] == "RTR":
+                        return (el, rc, k)
+                return (el, rc, None)
+            if rc is RC.BROADCAST:
+                return (el, rc, in_from)
+            return (el, rc)
+        if kind == "XB" and in_from[0] == "RTR":
             if rc is RC.NORMAL or (rc is RC.DETOUR and el == self._dxb):
                 t = header.dest[el[1]]
                 if t in self.registry.info(el).faulty_ports:
-                    return self._rule(el, in_from, header)
-                key = (el, rc, t)
-            elif rc is RC.BROADCAST:
-                key = (el, rc, in_from)
-            else:
-                key = (el, rc)
-        else:
-            return self._rule(el, in_from, header)
-        decision = self._decisions.get(key)
-        if decision is None:
-            decision = self._decisions[key] = self._rule(el, in_from, header)
-        return decision
+                    return None
+                return (el, rc, t)
+            if rc is RC.BROADCAST:
+                return (el, rc, in_from)
+            return (el, rc)
+        return None
 
     def _rule(self, el: ElementId, in_from: ElementId, header: Header) -> Decision:
         """The decision rules themselves, uncached."""
