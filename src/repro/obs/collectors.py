@@ -20,7 +20,7 @@ in worker processes merge byte-identically to a serial run
 * :class:`ChannelUtilization`  -- held cycles per (crossbar, port, VC)
   and busy cycles per channel, renderable as an ASCII heatmap;
 * :class:`DeadlockWatch`       -- deadlock count and detection cycle;
-* :class:`RouteCacheStats`     -- hit/miss/eviction counters of the
+* :class:`RouteCacheStats`     -- hit/miss counters and size of the
   adapter's route-decision memo (hookless; read on demand).
 
 :class:`CollectorSuite` bundles the standard set for one engine;
@@ -293,7 +293,7 @@ class DeadlockWatch(Collector):
 class RouteCacheStats(Collector):
     """Route-decision memo statistics from the adapter.
 
-    Subscribes to no hooks: the adapter's LRU counters
+    Subscribes to no hooks: the adapter's memo counters
     (:meth:`~repro.sim.adapter.MDCrossbarAdapter.cache_info`) are read on
     demand, frozen on :meth:`detach`.  Adapters without a ``cache_info``
     method contribute an empty metric set, so the collector is safe in
@@ -329,7 +329,6 @@ class RouteCacheStats(Collector):
             return out
         out.counter("route_cache.hits").inc(info["hits"])
         out.counter("route_cache.misses").inc(info["misses"])
-        out.counter("route_cache.evictions").inc(info["evictions"])
         out.gauge("route_cache.size").observe(info["size"])
         return out
 

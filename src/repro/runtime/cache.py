@@ -68,7 +68,10 @@ CACHE_SCHEMA = 1
 #:    candidates in sorted-cid order (grant-conflict winners are
 #:    candidate-order dependent, so heavily contended runs' observable
 #:    results shifted).
-CODE_VERSION = 5
+#: 6: one route-decision memo keyed on the switch rule's key -- the
+#:    metrics payload lost ``route_cache.evictions``, and
+#:    ``route_cache.hits`` / ``misses`` / ``size`` now count that memo.
+CODE_VERSION = 6
 
 
 def spec_key(spec: RunSpec) -> str:
