@@ -101,6 +101,7 @@ class NetworkCache:
     adapter's route memo is also cleared with its counters zeroed
     (``reset_cache``), so the ``RouteCacheStats`` export matches a cold
     build byte-for-byte.  For plain specs the route memo is left warm:
+    it is keyed on what each switch rule reads and never evicts, and its
     decisions are pure functions of a fixed logic, so warm entries can
     only turn route-phase misses into hits without touching any
     observable quantity.

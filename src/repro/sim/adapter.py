@@ -13,7 +13,6 @@ that:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Protocol, Tuple
 
@@ -78,47 +77,27 @@ def decide_batch(adapter, queries):
     return [decide(el, src, vc, hdr) for el, src, vc, hdr in queries]
 
 
-#: default bound on the route-decision memo.  Uniform traffic on an 8x8
-#: network touches a few thousand distinct (element, input, dest, rc)
-#: keys, so the default leaves ample headroom while still bounding a
-#: long many-fault run; a much smaller bound would thrash on the
-#: standard sweep shapes.
-DEFAULT_MEMO_CAPACITY = 65536
-
-
 class MDCrossbarAdapter:
     """The SR2201 network: defer to the distributed switch logic, VC 0.
 
-    Decisions are memoized per ``(scheme, element, input, dest, rc)`` -- the
-    rules never read the source coordinate: the switch logic is
-    deterministic and stateless for a fixed fault configuration, so
-    under steady traffic the simulator's route phase hits the cache
-    instead of re-running the distributed rules.  The memo is an
-    LRU bounded by ``memo_capacity`` and its hit/miss/eviction counters
-    are exposed through :meth:`cache_info` (the ``RouteCacheStats``
-    collector exports them into the metrics digest).  Swapping
-    :attr:`logic` (an online facility reconfiguration) invalidates the
-    cache but keeps the cumulative counters.
+    Decisions are memoized on :meth:`SwitchLogic.decision_key` -- what
+    the switch rule reads (never the source), so the memo is bounded by
+    the rule structure and never evicts (about 14 k keys on 16x16x8).  A
+    query whose key is ``None`` is answered by the logic and not stored.
+    Hit/miss counters and the size are exposed through :meth:`cache_info`
+    (the ``RouteCacheStats`` collector exports them into the metrics
+    digest).  Swapping :attr:`logic` (an online facility reconfiguration)
+    clears the memo but keeps the cumulative counters.
     """
 
-    def __init__(
-        self,
-        logic: SwitchLogic,
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
-        scheme: str = "dxb",
-    ) -> None:
-        if memo_capacity < 1:
-            raise ValueError("memo_capacity must be >= 1")
+    def __init__(self, logic: SwitchLogic, scheme: str = "dxb") -> None:
         self._logic = logic
         self.topo = logic.topo
-        #: routing-scheme identity; part of the memo key so a memo entry
-        #: produced under one scheme can never answer for another
+        #: routing-scheme identity (one adapter holds one logic)
         self.scheme = scheme
-        self._capacity = memo_capacity
-        self._cache: "OrderedDict[tuple, SimDecision]" = OrderedDict()
+        self._decisions: Dict[tuple, SimDecision] = {}
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
 
     @property
     def logic(self) -> SwitchLogic:
@@ -127,7 +106,7 @@ class MDCrossbarAdapter:
     @logic.setter
     def logic(self, new_logic: SwitchLogic) -> None:
         self._logic = new_logic
-        self._cache.clear()
+        self._decisions.clear()
 
     def reset_cache(self) -> None:
         """Clear the memo *and* zero its counters, as a freshly built
@@ -135,32 +114,47 @@ class MDCrossbarAdapter:
         reusing a network for a metrics-bearing sweep point, so the
         ``cache_info`` counters -- exported into the metrics digest by
         ``RouteCacheStats`` -- match a cold build's byte-for-byte."""
-        self._cache.clear()
+        self._decisions.clear()
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
 
     def cache_info(self) -> Dict[str, int]:
-        """Memo statistics: cumulative hits / misses / evictions plus the
-        current size and the configured capacity."""
+        """Memo statistics: cumulative hits / misses and the current size."""
         return {
             "hits": self._hits,
             "misses": self._misses,
-            "evictions": self._evictions,
-            "size": len(self._cache),
-            "capacity": self._capacity,
+            "size": len(self._decisions),
         }
 
     def decide(
         self, element: ElementId, in_from: ElementId, in_vc: int, header: Header
     ) -> SimDecision:
-        key = (self.scheme, element, in_from, header.dest, header.rc)
-        cache = self._cache
-        hit = cache.get(key)
+        key = self._logic.decision_key(element, in_from, header)
+        hit = self._decisions.get(key)  # a None key is never stored
         if hit is not None:
             self._hits += 1
-            cache.move_to_end(key)
             return hit
+        return self._miss(key, element, in_from, header)
+
+    def decide_batch(self, queries):
+        """Memo-first batch lookup (see :func:`decide_batch`): one key
+        derivation and one dict probe per header on a hit."""
+        decision_key = self._logic.decision_key
+        memo = self._decisions
+        out = []
+        for el, src, vc, hdr in queries:
+            key = decision_key(el, src, hdr)
+            hit = memo.get(key)
+            if hit is not None:
+                self._hits += 1
+                out.append(hit)
+            else:
+                out.append(self._miss(key, el, src, hdr))
+        return out
+
+    def _miss(
+        self, key, element: ElementId, in_from: ElementId, header: Header
+    ) -> SimDecision:
         self._misses += 1
         d = self._logic.decide(element, in_from, header)
         decision = SimDecision(
@@ -169,27 +163,6 @@ class MDCrossbarAdapter:
             serialize=d.serialize,
             drop=d.drop,
         )
-        cache[key] = decision
-        if len(cache) > self._capacity:
-            cache.popitem(last=False)
-            self._evictions += 1
+        if key is not None:
+            self._decisions[key] = decision
         return decision
-
-    def decide_batch(self, queries):
-        """Memo-first batch lookup (see :func:`decide_batch`): resolves
-        each query against the LRU directly and only drops to
-        :meth:`decide` on a miss, so a steady-traffic batch costs one
-        dict probe per header."""
-        cache = self._cache
-        scheme = self.scheme
-        out = []
-        for el, src, vc, hdr in queries:
-            key = (scheme, el, src, hdr.dest, hdr.rc)
-            hit = cache.get(key)
-            if hit is not None:
-                self._hits += 1
-                cache.move_to_end(key)
-                out.append(hit)
-            else:
-                out.append(self.decide(el, src, vc, hdr))
-        return out

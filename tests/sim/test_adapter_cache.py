@@ -1,41 +1,35 @@
-"""The adapter's bounded route-decision memo: LRU semantics, counters,
-invalidation on reconfiguration, and the metrics export."""
+"""The adapter's route-decision memo: keyed on the switch rule's key, equal
+to the uncached rules, invalidated on reconfiguration, and exported as
+metrics."""
 
 import pytest
 
 from repro.core import Fault, Header, Packet, SwitchLogic, make_config
+from repro.core.switch_logic import RoutingError
 from repro.obs import CollectorSuite, RouteCacheStats
-from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
+from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig, SimDecision
 from repro.topology import MDCrossbar
 from tests.conftest import make_logic
+from tests.core.test_switch_logic import _queries
 
 
-def make_adapter(shape=(4, 3), capacity=65536, **cfg_kw):
+def make_adapter(shape=(4, 3), **cfg_kw):
     topo = MDCrossbar(shape)
-    return MDCrossbarAdapter(
-        SwitchLogic(topo, make_config(shape, **cfg_kw)),
-        memo_capacity=capacity,
-    )
+    return MDCrossbarAdapter(SwitchLogic(topo, make_config(shape, **cfg_kw)))
 
 
-def some_route_queries(topo, n=None):
-    """Distinct (element, in_from, header) route queries: every router
-    asked about every destination, entering from its PE input."""
+def some_route_queries(topo, n):
+    """``n`` route queries with distinct memo keys: one router each,
+    entering from its PE, bound for another node."""
+    coords = sorted(topo.node_coords())
     queries = []
-    for el in topo.elements():
-        if el[0] != "RTR":
-            continue
-        src = ("PE", el[1])
-        for dest in sorted(topo.node_coords()):
-            if dest == el[1]:
-                continue
-            queries.append((el, src, 0, Header(source=el[1], dest=dest)))
-            if n is not None and len(queries) >= n:
-                return queries
+    for c in coords[:n]:
+        dest = coords[-1] if c != coords[-1] else coords[0]
+        queries.append((("RTR", c), ("PE", c), 0, Header(source=c, dest=dest)))
     return queries
 
 
-class TestLRU:
+class TestMemo:
     def test_repeat_queries_hit(self):
         adapter = make_adapter()
         el, src, vc, h = some_route_queries(adapter.topo, n=1)[0]
@@ -56,32 +50,78 @@ class TestLRU:
         adapter.decide(el, src, vc, other)
         assert adapter.cache_info()["hits"] == 1
 
-    def test_capacity_bound_and_eviction(self):
-        adapter = make_adapter(capacity=4)
-        queries = some_route_queries(adapter.topo, n=8)
-        for q in queries:
-            adapter.decide(*q)
-        info = adapter.cache_info()
-        assert info["size"] == 4
-        assert info["evictions"] == 4
-        assert info["capacity"] == 4
 
-    def test_eviction_is_least_recently_used(self):
-        adapter = make_adapter(capacity=2)
-        a, b, c = some_route_queries(adapter.topo, n=3)
-        adapter.decide(*a)
-        adapter.decide(*b)
-        adapter.decide(*a)  # refresh a: b is now the LRU entry
-        adapter.decide(*c)  # evicts b
-        adapter.decide(*a)
-        assert adapter.cache_info()["hits"] == 2
-        adapter.decide(*b)  # must miss: it was evicted
-        assert adapter.cache_info()["misses"] == 4
+# -- the memo against the rules ---------------------------------------------------
+def _uncached(logic, el, in_from, header):
+    """``decision_key`` is ``None`` exactly here: a crossbar entered from a
+    non-router, or one whose target port is locally faulty."""
+    if el[0] != "XB":
+        return False
+    if in_from[0] != "RTR":
+        return True
+    rc = header.rc
+    targets = rc.name == "NORMAL" or (
+        rc.name == "DETOUR" and el == logic.config.dxb_element
+    )
+    return targets and header.dest[el[1]] in logic.registry.info(el).faulty_ports
 
-    def test_capacity_must_be_positive(self):
-        topo = MDCrossbar((4, 3))
-        with pytest.raises(ValueError):
-            MDCrossbarAdapter(make_logic(topo), memo_capacity=0)
+
+def _outcome(decide, *query):
+    try:
+        return decide(*query)
+    except RoutingError as e:
+        return type(e), str(e)
+
+
+def _as_sim(decision):
+    if not hasattr(decision, "outputs"):
+        return decision  # a RoutingError outcome
+    return SimDecision(
+        outputs=tuple((el, 0) for el in decision.outputs),
+        rc=decision.rc,
+        serialize=decision.serialize,
+        drop=decision.drop,
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, faults",
+    [
+        ((4, 3), ()),
+        ((4, 3), (Fault.router((2, 0)),)),
+        ((4, 3), (Fault.crossbar(0, (0,)),)),
+        ((3, 3, 2), ()),
+        ((3, 3, 2), (Fault.router((1, 1, 0)),)),
+        ((3, 3, 2), (Fault.crossbar(0, (0, 1)),)),
+    ],
+    ids=["4x3", "4x3-rtr", "4x3-xb", "3x3x2", "3x3x2-rtr", "3x3x2-xb"],
+)
+def test_memo_equals_uncached_rules(shape, faults):
+    """Every router and crossbar query (every input, destination and RC
+    bit), asked twice, forward and reversed on fresh adapters, equals a
+    ``SimDecision`` built from the uncached rule -- a memo key too narrow
+    fails whichever query fills its entry first."""
+    topo = MDCrossbar(shape)
+    config = make_config(shape, faults=faults)
+    queries = _queries(topo)
+    oracle = SwitchLogic(topo, config)
+    want = [_as_sim(_outcome(oracle._rule, *q)) for q in queries]
+    for (el, in_from, header) in queries:
+        key = oracle.decision_key(el, in_from, header)
+        assert (key is None) == _uncached(oracle, el, in_from, header)
+    # a dead router leaves a faulty port on each of its crossbars
+    faulty_port = any(
+        _uncached(oracle, *q) and q[1][0] == "RTR" for q in queries
+    )
+    assert faulty_port == any(f.kind.name == "ROUTER" for f in faults)
+    for order in (range(len(queries)), reversed(range(len(queries)))):
+        adapter = MDCrossbarAdapter(SwitchLogic(topo, config))
+        for i in order:
+            el, in_from, header = queries[i]
+            for _ in range(2):
+                got = _outcome(adapter.decide, el, in_from, 0, header)
+                assert got == want[i], queries[i]
+            assert adapter.cache_info()["size"] <= len(adapter.logic._decisions)
 
 
 class TestInvalidation:

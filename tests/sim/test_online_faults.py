@@ -130,10 +130,10 @@ class TestConservationUnderFault:
 
 
 class TestRouteMemoInvalidation:
-    """Regression: the adapter memoizes route decisions per (element,
-    input, source, dest, rc); a facility reconfiguration swaps the logic
-    and MUST drop the memo, or post-fault traffic follows stale routes
-    into the dead switch."""
+    """Regression: the adapter memoizes route decisions on what each
+    switch rule reads (never the source); a facility reconfiguration
+    swaps the logic and MUST drop the memo, or post-fault traffic follows
+    stale routes into the dead switch."""
 
     def test_inject_fault_invalidates_memo(self, topo43):
         from repro.topology import rtr, xb
@@ -146,7 +146,7 @@ class TestRouteMemoInvalidation:
         el, came_from = xb(0, (0,)), rtr((0, 0))
         before = adapter.decide(el, came_from, 0, hdr)
         assert (rtr((2, 0)), 0) in before.outputs
-        assert adapter._cache, "decide() must populate the memo"
+        assert adapter.cache_info()["size"], "decide() must populate the memo"
         sim.inject_fault(Fault.router((2, 0)))
         after = adapter.decide(el, came_from, 0, hdr)
         assert (rtr((2, 0)), 0) not in after.outputs, (
@@ -159,9 +159,9 @@ class TestRouteMemoInvalidation:
         from repro.topology import pe, rtr
 
         adapter.decide(rtr((0, 0)), pe((0, 0)), 0, hdr)
-        assert adapter._cache
+        assert adapter.cache_info()["size"]
         adapter.logic = make_logic(topo43, fault=Fault.router((2, 0)))
-        assert not adapter._cache
+        assert adapter.cache_info()["size"] == 0
 
     def test_memoized_and_fresh_decisions_agree(self, topo43):
         from repro.topology import pe, rtr
