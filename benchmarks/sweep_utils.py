@@ -3,8 +3,8 @@ the parallel execution machinery in repro.runtime.
 
 Benchmarks import from here so they keep working wherever the harness
 moves.  ``sweep(..., jobs=N)`` fans a bench's points out over worker
-processes; ``RunSpec``/``run_specs`` give a bench direct access to the
-runtime for custom batches (fault enumerations, seed replicas).
+processes; ``RunSpec``/``run_specs`` run a bench's custom batches (fault
+enumerations, seed replicas) through a one-shot ``SweepSession``.
 """
 
 import os

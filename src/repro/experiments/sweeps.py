@@ -11,11 +11,11 @@ users directly:
     points = sweep("md-crossbar", (8, 8), [0.1, 0.2, 0.3], jobs=4)
 
 Sweep points are independent fixed-seed simulations, so they fan out over
-the :mod:`repro.runtime` executors: pass ``jobs=N`` (or an explicit
-``executor=``) to run them in parallel worker processes; the merged
-results are identical to a serial run.  The experiment-level ``seed``
-parameterizes the injector RNG at every point -- sweep with several seeds
-(see :func:`repro.runtime.seed_replicas`) for independent replicas.
+a :class:`repro.runtime.SweepSession`: pass ``jobs=N`` to run them in
+parallel worker processes; the merged results are identical to a serial
+run.  The experiment-level ``seed`` parameterizes the injector RNG at
+every point -- sweep with several seeds (see
+:func:`repro.runtime.seed_replicas`) for independent replicas.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def sweep(
     loads: Sequence[float],
     pattern: Pattern = uniform,
     jobs: Optional[int] = None,
-    executor=None,
     cache=None,
     progress=None,
     ledger=None,
@@ -120,16 +119,15 @@ def sweep(
 ) -> List[LoadPoint]:
     """Sweep the load axis; each point is an independent fixed-seed run.
 
-    ``jobs`` > 1 (or an explicit runtime ``executor``) fans the points out
-    over worker processes via :mod:`repro.runtime`; the default runs them
-    serially in-process.  A ``cache``
+    The points run through a one-shot
+    :class:`~repro.runtime.session.SweepSession` (scripts issuing many
+    batches should hold a session themselves): ``jobs`` > 1 fans them out
+    over worker processes, the default runs them in-process.  A ``cache``
     (:class:`~repro.runtime.cache.ResultCache`) replays already-known
     points from disk, ``progress(result, done, total)`` streams
     completions, and a ``ledger``
     (:class:`~repro.obs.telemetry.SweepLedger`) records the run's
-    telemetry; any of them routes the batch through a warm
-    :class:`~repro.runtime.session.SweepSession` -- scripts issuing many
-    batches should hold a session themselves.  Ad-hoc pattern callables
+    telemetry.  Ad-hoc pattern callables
     (hotspot/permutation closures) are not picklable and therefore always
     run serially, uncached.
     """
@@ -171,7 +169,6 @@ def sweep(
     results = run_specs(
         specs,
         jobs=jobs,
-        executor=executor,
         cache=cache,
         progress=progress,
         ledger=ledger,

@@ -2,25 +2,23 @@
 
 Sits between the simulation engine (:mod:`repro.sim`) and the consumers
 (:mod:`repro.experiments`, the CLI, the benchmarks).  Work is described by
-picklable :class:`RunSpec`s, executed by an :class:`Executor` (serial or
-process-pool) or a warm :class:`SweepSession` (persistent workers,
-chunked dispatch, per-worker network reuse, optional on-disk
-:class:`ResultCache`), and merged deterministically in spec order -- a
-parallel, chunked or cache-replayed sweep returns byte-identical results
-to a serial one.
+picklable :class:`RunSpec`s, dispatched by a :class:`SweepSession`
+(in-process or over persistent workers, chunked dispatch, per-worker
+network reuse, optional on-disk :class:`ResultCache`; :func:`run_specs`
+is the one-shot front door), and merged deterministically in spec order
+-- a parallel, chunked or cache-replayed sweep returns byte-identical
+results to a serial one.
 """
 
 from .cache import ResultCache, result_identity, spec_key
-from .executor import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
+from .session import (
+    NetworkCache,
+    RunInfo,
     SpecExecutionError,
-    execute_spec,
-    make_executor,
+    SweepSession,
+    chunk_indices,
     run_specs,
 )
-from .session import NetworkCache, RunInfo, SweepSession, chunk_indices
 from .spec import (
     PointResult,
     RunSpec,
@@ -30,21 +28,16 @@ from .spec import (
 )
 
 __all__ = [
-    "Executor",
     "NetworkCache",
     "PointResult",
-    "ProcessPoolExecutor",
     "ResultCache",
     "RunInfo",
     "RunSpec",
-    "SerialExecutor",
     "SpecExecutionError",
     "SweepSession",
     "chunk_indices",
-    "execute_spec",
     "fault_placement_specs",
     "load_sweep_specs",
-    "make_executor",
     "result_identity",
     "run_specs",
     "seed_replicas",

@@ -1,13 +1,14 @@
-"""Warm-worker sweep sessions: chunked scheduling, network reuse, caching.
+"""Warm-worker sweep sessions: the runtime's one dispatcher.
 
-``ProcessPoolExecutor.run`` is stateless: every call spins up a pool,
-ships every spec as its own task, and every task builds its network from
-scratch.  Fine for one big sweep; wasteful for the experiment shapes the
-repo is built on -- fault-placement enumerations, seed replicas and load
-batches issue hundreds of short deterministic points, and the fixed costs
-(pool spinup, per-spec pickle/IPC, per-spec topology construction)
-dominate the actual simulation.  :class:`SweepSession` amortizes all
-three:
+Every :class:`RunSpec` batch -- :func:`run_specs`, the CLI, the
+experiments, the campaign engine -- runs through a :class:`SweepSession`.
+The runtime's contract: given a list of specs, return one
+:class:`PointResult` per spec **in spec order**, regardless of which
+worker finished first.  The experiment shapes the repo is built on --
+fault-placement enumerations, seed replicas and load batches -- issue
+hundreds of short deterministic points, so the fixed costs (pool
+spinup, per-spec pickle/IPC, per-spec topology construction) would
+dominate the actual simulation.  A session amortizes all three:
 
 * **persistent warm pool** -- worker processes survive across ``run()``
   calls, so pool spinup and interpreter warmup are paid once per session,
@@ -61,7 +62,6 @@ from typing import (
 
 from ..obs.telemetry import SweepLedger, spec_outcome
 from .cache import ResultCache
-from .executor import SpecExecutionError
 from .spec import PointResult, RunSpec
 
 #: built networks kept per process.  Large enough that a full single-fault
@@ -164,18 +164,6 @@ def _init_worker(network_capacity: int) -> None:
     _process_networks = NetworkCache(network_capacity)
 
 
-class _ChunkFailure(NamedTuple):
-    """Picklable failure sentinel a chunk worker returns instead of
-    raising.  :class:`SpecExecutionError` carries its spec via a custom
-    ``__init__`` and does not survive the exception-pickling round trip,
-    so the worker ships the offset of the failing spec plus the original
-    cause, and the parent rebuilds the rich error against the real spec.
-    """
-
-    index: int
-    cause: BaseException
-
-
 class _ChunkResult(NamedTuple):
     """What a successful chunk ships back: the results plus the serving
     telemetry measured where it happened (the worker process).  One
@@ -197,7 +185,7 @@ class _ChunkResult(NamedTuple):
 class _ConsumerError(Exception):
     """Wrapper distinguishing a parent-side consumer failure (the
     ``progress`` callback or ``cache.put`` raising) from a worker/pool
-    failure inside :meth:`SweepSession._run_chunked`.  The workers are
+    failure inside :meth:`SweepSession.run_tasks`.  The workers are
     healthy in this case, so the session cancels what is queued but keeps
     the warm pool."""
 
@@ -212,9 +200,9 @@ def _picklable_cause(exc: BaseException) -> BaseException:
 
     A worker exception that cannot cross the process boundary (custom
     ``__init__`` signatures, captured locks/file handles...) would
-    otherwise kill the *result* pickling of the whole chunk and surface
-    as an opaque ``BrokenProcessPool``; the sanitized stand-in keeps the
-    failure a named :class:`SpecExecutionError` in the parent.
+    otherwise break the pickling of the chunk's
+    :class:`SpecExecutionError`; the sanitized stand-in keeps the failure
+    a named :class:`SpecExecutionError` in the parent.
     """
     import pickle
     import traceback
@@ -231,27 +219,62 @@ def _picklable_cause(exc: BaseException) -> BaseException:
         )
 
 
-def execute_chunk(specs: Sequence[RunSpec]):
-    """Module-level chunk entry point (importable, hence picklable).
+class SpecExecutionError(RuntimeError):
+    """A spec raised while executing.
 
-    Runs every spec on this process's warm :class:`NetworkCache` and
-    returns a :class:`_ChunkResult` -- or a :class:`_ChunkFailure` for
-    the first spec that raised (later specs in the chunk are not
-    attempted; sibling chunks are cancelled by the session).
+    Carries the failing :class:`RunSpec` (``.spec``) and the original
+    exception (``.__cause__``), so a 50-point sweep that dies on point 37
+    says *which* point and *why* instead of handing back a bare traceback
+    from an anonymous worker process -- or worse, partial results.
+
+    It pickles as ``(spec, cause)`` with the cause passed through
+    :func:`_picklable_cause`, so a pool worker raises it as is.  In the
+    parent, :mod:`concurrent.futures` then replaces ``__cause__`` with the
+    worker's formatted traceback, which names the original exception.
     """
-    networks = _process_networks
-    chunk_t0, chunk_c0 = perf_counter(), process_time()
-    out: List[PointResult] = []
-    timings: List[Tuple[float, float, str]] = []
-    for i, spec in enumerate(specs):
+
+    def __init__(self, spec: RunSpec, cause: BaseException) -> None:
+        super().__init__(
+            f"spec failed: {spec.describe()}: "
+            f"{type(cause).__name__}: {cause}"
+        )
+        self.spec = spec
+        self.__cause__ = cause
+
+    def __reduce__(self):
+        return type(self), (self.spec, _picklable_cause(self.__cause__))
+
+
+def _serve(specs: Sequence[RunSpec], networks: NetworkCache):
+    """Run ``specs`` in order on ``networks``, yielding ``(result,
+    (wall_s, cpu_s, tier))`` per spec; tier is ``"fresh"`` (network built
+    for this spec) or ``"reuse"`` (served off the warm cache).  The one
+    per-spec loop of the in-process path and the pool workers."""
+    for spec in specs:
         t0, c0 = perf_counter(), process_time()
         builds_before = networks.builds
         try:
-            out.append(spec.execute(sim=networks.get(spec)))
+            result = spec.execute(sim=networks.get(spec))
         except Exception as exc:
-            return _ChunkFailure(i, _picklable_cause(exc))
+            raise SpecExecutionError(spec, exc)
         tier = "fresh" if networks.builds > builds_before else "reuse"
-        timings.append((perf_counter() - t0, process_time() - c0, tier))
+        yield result, (perf_counter() - t0, process_time() - c0, tier)
+
+
+def execute_chunk(specs: Sequence[RunSpec]) -> _ChunkResult:
+    """Module-level chunk entry point (importable, hence picklable).
+
+    Runs every spec on this process's warm :class:`NetworkCache`.  The
+    first spec that raises fails the chunk with a
+    :class:`SpecExecutionError` (later specs in the chunk are not
+    attempted; sibling chunks are cancelled by the session).
+    """
+    chunk_t0, chunk_c0 = perf_counter(), process_time()
+    out: List[PointResult] = []
+    timings: List[Tuple[float, float, str]] = []
+    for result, timing in _serve(specs, _process_networks):
+        out.append(result)
+        timings.append(timing)
     return _ChunkResult(
         out,
         timings,
@@ -307,11 +330,11 @@ class SweepSession:
             for batch in batches:
                 results = session.run(batch, progress=on_point)
 
-    ``jobs`` follows :func:`make_executor` semantics: ``None``/0/1 runs
-    in-process (still with network reuse); more fans chunks out over a
-    persistent process pool.  ``run()`` preserves the executor contract
-    -- one :class:`PointResult` per spec, in spec order, byte-identical
-    to a serial run -- and records a :class:`RunInfo` in :attr:`last_run`.
+    ``jobs`` of ``None``/0/1 runs in-process (still with network reuse);
+    more fans chunks out over a persistent process pool.  ``run()`` keeps
+    the runtime's contract -- one :class:`PointResult` per spec, in spec
+    order, byte-identical to a fresh ``spec.execute()`` per spec -- and
+    records a :class:`RunInfo` in :attr:`last_run`.
 
     ``progress(result, done, total)`` fires once per completed spec as
     results stream in (completion order; the returned list is still
@@ -539,34 +562,24 @@ class SweepSession:
 
     def _run_serial(
         self, specs, todo, results, serve, progress, done, total
-    ) -> int:
+    ) -> None:
         if self._local_networks is None:
             self._local_networks = NetworkCache(self.network_capacity)
-        networks = self._local_networks
-        for i in todo:
-            spec = specs[i]
-            t0, c0 = perf_counter(), process_time()
-            builds_before = networks.builds
-            try:
-                result = spec.execute(sim=networks.get(spec))
-            except Exception as exc:
-                raise SpecExecutionError(spec, exc) from exc
+        served = _serve([specs[i] for i in todo], self._local_networks)
+        for i, (result, (wall_s, cpu_s, tier)) in zip(todo, served):
             results[i] = result
             serve[i] = {
-                "cache": (
-                    "fresh" if networks.builds > builds_before else "reuse"
-                ),
+                "cache": tier,
                 "worker": None,
                 "chunk": None,
-                "wall_s": perf_counter() - t0,
-                "cpu_s": process_time() - c0,
+                "wall_s": wall_s,
+                "cpu_s": cpu_s,
             }
             if self.cache is not None:
                 self.cache.put(result)
             done += 1
             if progress is not None:
                 progress(result, done, total)
-        return done
 
     def _run_chunked(
         self,
@@ -580,76 +593,53 @@ class SweepSession:
         total,
         run_no,
         chunk_events,
-    ) -> int:
-        pool = self._ensure_pool()
-        futures = {}
-        try:
-            for ci, (a, b) in enumerate(slices):
-                idxs = todo[a:b]
-                if self.ledger is not None:
-                    self.ledger.record(
-                        "chunk_dispatch",
-                        run=run_no,
-                        chunk=ci,
-                        specs=len(idxs),
-                        first=idxs[0],
-                        last=idxs[-1],
-                    )
-                fut = pool.submit(
-                    execute_chunk, [specs[i] for i in idxs]
+    ) -> None:
+        chunks = [todo[a:b] for a, b in slices]
+        if self.ledger is not None:
+            for ci, idxs in enumerate(chunks):
+                self.ledger.record(
+                    "chunk_dispatch",
+                    run=run_no,
+                    chunk=ci,
+                    specs=len(idxs),
+                    first=idxs[0],
+                    last=idxs[-1],
                 )
-                futures[fut] = (ci, idxs)
-            for fut in _futures.as_completed(futures):
-                payload = fut.result()
-                ci, idxs = futures[fut]
-                if isinstance(payload, _ChunkFailure):
-                    spec = specs[idxs[payload.index]]
-                    raise SpecExecutionError(
-                        spec, payload.cause
-                    ) from payload.cause
-                chunk_events.append(
-                    {
-                        "chunk": ci,
-                        "specs": len(idxs),
-                        "worker": payload.worker,
-                        "wall_s": payload.wall_s,
-                        "cpu_s": payload.cpu_s,
-                    }
-                )
-                for i, result, timing in zip(
-                    idxs, payload.results, payload.timings
-                ):
-                    results[i] = result
-                    serve[i] = {
-                        "cache": timing[2],
-                        "worker": payload.worker,
-                        "chunk": ci,
-                        "wall_s": timing[0],
-                        "cpu_s": timing[1],
-                    }
-                    done += 1
-                    try:
-                        if self.cache is not None:
-                            self.cache.put(result)
-                        if progress is not None:
-                            progress(result, done, total)
-                    except BaseException as exc:
-                        raise _ConsumerError(exc) from exc
-        except _ConsumerError as wrapper:
-            # the parent-side consumer (progress callback / cache.put)
-            # failed; the workers are fine.  Cancel what is still queued
-            # and surface the original error, but keep the warm pool --
-            # the session stays immediately reusable.
-            for f in futures:
-                f.cancel()
-            raise wrapper.cause
-        except BaseException:
-            # a dead worker (BrokenProcessPool) or a failing spec poisons
-            # in-flight chunks: cancel what is queued, drop the pool, and
-            # let the next run() start fresh
-            self._discard_pool()
-            raise
-        return done
+
+        def merge(ci: int, payload: _ChunkResult) -> None:
+            nonlocal done
+            idxs = chunks[ci]
+            chunk_events.append(
+                {
+                    "chunk": ci,
+                    "specs": len(idxs),
+                    "worker": payload.worker,
+                    "wall_s": payload.wall_s,
+                    "cpu_s": payload.cpu_s,
+                }
+            )
+            for i, result, (wall_s, cpu_s, tier) in zip(
+                idxs, payload.results, payload.timings
+            ):
+                results[i] = result
+                serve[i] = {
+                    "cache": tier,
+                    "worker": payload.worker,
+                    "chunk": ci,
+                    "wall_s": wall_s,
+                    "cpu_s": cpu_s,
+                }
+                done += 1
+                if self.cache is not None:
+                    self.cache.put(result)
+                if progress is not None:
+                    progress(result, done, total)
+
+        self.run_tasks(
+            execute_chunk,
+            [([specs[i] for i in idxs],) for idxs in chunks],
+            on_result=merge,
+        )
 
     # ---------------------------------------------------------- generic fan-out
     def run_tasks(
@@ -689,10 +679,10 @@ class SweepSession:
                     on_result(i, payload)
             return len(tasks)
         pool = self._ensure_pool()
-        futures = {
-            pool.submit(fn, *task): i for i, task in enumerate(tasks)
-        }
+        futures = {}
         try:
+            for i, task in enumerate(tasks):
+                futures[pool.submit(fn, *task)] = i
             for fut in _futures.as_completed(futures):
                 payload = fut.result()
                 if on_result is not None:
@@ -701,10 +691,30 @@ class SweepSession:
                     except BaseException as exc:
                         raise _ConsumerError(exc) from exc
         except _ConsumerError as wrapper:
+            # the parent-side consumer failed; the workers are fine.
+            # Cancel what is still queued and surface the original error,
+            # but keep the warm pool -- the session stays reusable.
             for f in futures:
                 f.cancel()
             raise wrapper.cause
         except BaseException:
+            # a dead worker (BrokenProcessPool) or a failing task poisons
+            # in-flight work: cancel what is queued, drop the pool, and
+            # let the next call start fresh
             self._discard_pool()
             raise
         return len(tasks)
+
+
+def run_specs(
+    specs: Sequence[RunSpec],
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    progress: Optional[Callable[[PointResult, int, int], None]] = None,
+    ledger: Optional[SweepLedger] = None,
+) -> List[PointResult]:
+    """Run a batch of specs through a one-shot :class:`SweepSession` and
+    return results in spec order.  For repeated batches, hold a session
+    yourself and keep its workers warm."""
+    with SweepSession(jobs=jobs, cache=cache, ledger=ledger) as session:
+        return session.run(specs, progress=progress)

@@ -147,10 +147,8 @@ class RunSpec:
         from ..traffic import get_pattern
 
         start = time.perf_counter()
-        suite = None
-        span_collector = None
-        if sim is None and not (self.metrics or self.spans):
-            make_sim = build_network(
+        if sim is None:
+            sim = build_network(
                 self.kind,
                 self.shape,
                 stall_limit=self.stall_limit,
@@ -158,31 +156,18 @@ class RunSpec:
                 scheme=self.scheme,
                 recovery=self.recovery,
                 engine=self.engine,
-            )
-        else:
-            if sim is None:
-                sim = build_network(
-                    self.kind,
-                    self.shape,
-                    stall_limit=self.stall_limit,
-                    faults=self.faults,
-                    scheme=self.scheme,
-                    recovery=self.recovery,
-                    engine=self.engine,
-                )()
-            if self.metrics:
-                from ..obs.collectors import attach_standard_collectors
+            )()
+        suite = span_collector = None
+        if self.metrics:
+            from ..obs.collectors import attach_standard_collectors
 
-                suite = attach_standard_collectors(sim)
-            if self.spans:
-                from ..obs.spans import PacketSpanCollector
+            suite = attach_standard_collectors(sim)
+        if self.spans:
+            from ..obs.spans import PacketSpanCollector
 
-                span_collector = PacketSpanCollector().attach(sim)
-
-            def make_sim(sim=sim):  # run_load_point calls it exactly once
-                return sim
+            span_collector = PacketSpanCollector().attach(sim)
         point = run_load_point(
-            make_sim,
+            lambda: sim,
             self.load,
             pattern=get_pattern(self.pattern),
             packet_length=self.packet_length,

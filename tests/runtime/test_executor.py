@@ -1,5 +1,7 @@
-"""The runtime layer: picklable RunSpecs, serial/parallel executors with
-deterministic order-preserving merge, and the spec-family constructors."""
+"""The runtime layer: picklable RunSpecs, serial/parallel dispatch through
+``run_specs`` with a deterministic order-preserving merge, and the
+spec-family constructors.  The reference for every dispatch path is a
+fresh build per spec: ``[s.execute() for s in specs]``."""
 
 import json
 import pickle
@@ -10,13 +12,12 @@ import pytest
 from repro.core import Fault
 from repro.runtime import (
     PointResult,
-    ProcessPoolExecutor,
     RunSpec,
-    SerialExecutor,
     SpecExecutionError,
+    SweepSession,
     fault_placement_specs,
     load_sweep_specs,
-    make_executor,
+    result_identity,
     run_specs,
     seed_replicas,
 )
@@ -100,15 +101,11 @@ class TestSpecConstructors:
 
 
 class TestExecutors:
-    def test_make_executor_selection(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(0), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(2), ProcessPoolExecutor)
+    """``run_specs``, the one-shot front door over a ``SweepSession``."""
 
     def test_serial_preserves_spec_order(self):
         specs = small_specs()
-        results = SerialExecutor().run(specs)
+        results = run_specs(specs)
         assert [r.spec for r in results] == specs
 
     def test_parallel_matches_serial_exactly(self):
@@ -116,14 +113,17 @@ class TestExecutors:
         identical to a serial run of the same specs (same points, same
         order)."""
         specs = seed_replicas(small_specs(), seeds=[7, 8])
-        serial = SerialExecutor().run(specs)
-        parallel = ProcessPoolExecutor(jobs=2).run(specs)
+        serial = [s.execute() for s in specs]
+        parallel = run_specs(specs, jobs=2)
         assert [r.spec for r in parallel] == [r.spec for r in serial]
         for s, p in zip(serial, parallel):
             assert p.point == s.point
 
     def test_parallel_single_spec_falls_back_to_serial(self):
-        results = ProcessPoolExecutor(jobs=4).run([RunSpec(load=0.05, **FAST)])
+        with SweepSession(jobs=4) as session:
+            results = session.run([RunSpec(load=0.05, **FAST)])
+            assert session._pool is None  # no worker was spawned
+        assert session.last_run.workers == 1
         assert len(results) == 1 and not results[0].point.deadlocked
 
     def test_run_specs_front_door(self):
@@ -142,10 +142,6 @@ class TestExecutors:
         spec = RunSpec(load=0.2, seed=42, **FAST)
         assert spec.execute().point == spec.execute().point
 
-    def test_map_points_returns_bare_points(self):
-        points = SerialExecutor().map_points(small_specs())
-        assert [p.offered_load for p in points] == [0.05, 0.15]
-
 
 class TestFailurePaths:
     """A raising worker must surface a clear error naming the failing
@@ -158,7 +154,7 @@ class TestFailurePaths:
     def test_serial_names_the_failing_spec(self):
         bad = self.crashing_spec()
         with pytest.raises(SpecExecutionError) as err:
-            SerialExecutor().run([RunSpec(load=0.05, **FAST), bad])
+            run_specs([RunSpec(load=0.05, **FAST), bad])
         assert "no-such-network" in str(err.value)
         assert err.value.spec == bad
         assert err.value.__cause__ is not None
@@ -170,7 +166,7 @@ class TestFailurePaths:
             RunSpec(load=0.15, **FAST),
         ]
         with pytest.raises(SpecExecutionError) as err:
-            ProcessPoolExecutor(jobs=2).run(specs)
+            run_specs(specs, jobs=2)
         assert err.value.spec == specs[1]
         assert "no-such-network" in str(err.value)
 
@@ -178,21 +174,27 @@ class TestFailurePaths:
         with pytest.raises(SpecExecutionError):
             run_specs([self.crashing_spec(), self.crashing_spec()], jobs=2)
 
+    def test_error_survives_pickling(self):
+        """A pool worker raises the error itself, so it must cross the
+        process boundary whole: spec, message and cause."""
+        spec = self.crashing_spec()
+        err = SpecExecutionError(spec, ValueError("bad input"))
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone.spec == spec
+        assert str(clone) == str(err)
+        assert isinstance(clone.__cause__, ValueError)
+        assert str(clone.__cause__) == "bad input"
 
-class TestEffectiveWorkers:
-    """Consumers report the worker count a run *actually* used: ``--jobs``
-    silently degrades to serial for one spec or ``jobs<=1``."""
+        class Gnarly(Exception):
+            # custom __init__ signature: pickle.loads cannot rebuild it
+            def __init__(self, spec, detail):
+                super().__init__(f"{spec}: {detail}")
 
-    def test_serial_is_always_one(self):
-        assert SerialExecutor().effective_workers(100) == 1
-
-    def test_pool_degenerate_inputs_run_serially(self):
-        assert ProcessPoolExecutor(jobs=4).effective_workers(1) == 1
-        assert ProcessPoolExecutor(jobs=1).effective_workers(100) == 1
-
-    def test_pool_is_capped_by_specs_and_jobs(self):
-        assert ProcessPoolExecutor(jobs=4).effective_workers(2) == 2
-        assert ProcessPoolExecutor(jobs=2).effective_workers(100) == 2
+        err = SpecExecutionError(spec, Gnarly("spec-3", "boom"))
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone.spec == spec
+        assert isinstance(clone.__cause__, RuntimeError)
+        assert "boom" in str(clone.__cause__)
 
 
 class TestFailureCancelsSiblings:
@@ -213,18 +215,17 @@ class TestFailureCancelsSiblings:
         slow.execute()  # calibrate one slow point on this machine
         t_slow = time.perf_counter() - t0
 
-        # the crasher is submitted first; a dozen slow siblings queue
-        # behind it on two workers
+        # the crasher leads the first chunk; a dozen slow siblings queue
+        # behind it in later chunks on two workers
         specs = [RunSpec(kind="no-such-network", load=0.1, **FAST)] + [
             replace(slow, seed=seed) for seed in range(2, 14)
         ]
         t0 = time.perf_counter()
         with pytest.raises(SpecExecutionError):
-            ProcessPoolExecutor(jobs=2).run(specs)
+            run_specs(specs, jobs=2)
         elapsed = time.perf_counter() - t0
-        # without cancel_futures the exit shutdown awaits the whole
-        # queue: >= 6 * t_slow.  With it, only the <= 2 specs already
-        # running are awaited.
+        # draining the queue would take ~5 * t_slow; the failed run
+        # cancels queued chunks and does not wait for the running one
         budget = max(3 * t_slow, 1.0)
         assert elapsed < budget, (
             f"failure path took {elapsed:.2f}s (budget {budget:.2f}s; "
@@ -246,10 +247,12 @@ class TestSessionIdentity:
         )
 
     def test_serial_chunked_cached_byte_identity(self, tmp_path):
-        from repro.runtime import ResultCache, SweepSession, result_identity
+        from repro.runtime import ResultCache
 
         specs = self.family()
-        reference = result_identity(SerialExecutor().run(specs))
+        reference = result_identity([s.execute() for s in specs])
+        assert result_identity(run_specs(specs)) == reference
+        assert result_identity(run_specs(specs, jobs=2)) == reference
         with SweepSession(jobs=2) as session:
             chunked = session.run(specs)
         assert result_identity(chunked) == reference
@@ -309,8 +312,8 @@ class TestMetricsAcrossWorkers:
         from repro.obs import merge_metric_sets
 
         specs = self.metric_specs()
-        serial = SerialExecutor().run(specs)
-        parallel = ProcessPoolExecutor(jobs=4).run(specs)
+        serial = [s.execute() for s in specs]
+        parallel = run_specs(specs, jobs=4)
         for s, p in zip(serial, parallel):
             assert json.dumps(p.metrics.to_dict()) == json.dumps(
                 s.metrics.to_dict()

@@ -13,10 +13,8 @@ import pytest
 
 from repro.runtime import (
     NetworkCache,
-    ProcessPoolExecutor,
     ResultCache,
     RunSpec,
-    SerialExecutor,
     SpecExecutionError,
     SweepSession,
     chunk_indices,
@@ -123,7 +121,7 @@ class TestNetworkCache:
 class TestSessionDeterminism:
     def test_serial_session_matches_executor(self):
         specs = small_specs()
-        reference = SerialExecutor().run(specs)
+        reference = [s.execute() for s in specs]
         with SweepSession() as session:
             got = session.run(specs)
         assert [r.spec for r in got] == specs
@@ -132,7 +130,7 @@ class TestSessionDeterminism:
 
     def test_chunked_session_matches_serial(self):
         specs = small_specs()
-        reference = result_identity(SerialExecutor().run(specs))
+        reference = result_identity([s.execute() for s in specs])
         with SweepSession(jobs=2, chunks_per_worker=2) as session:
             got = session.run(specs)
             again = session.run(specs)  # warm pool + warm networks
@@ -149,7 +147,7 @@ class TestSessionDeterminism:
             fault_placement_specs("md-crossbar", SHAPE, 0.1, **WINDOWS),
             seeds=[7, 8],
         )
-        reference = result_identity(SerialExecutor().run(specs))
+        reference = result_identity([s.execute() for s in specs])
         with SweepSession(jobs=2) as session:
             assert result_identity(session.run(specs)) == reference
 
@@ -268,7 +266,7 @@ class TestWorkerNetworkCapacity:
         ) as session:
             results = session.run(specs)
         assert result_identity(results) == result_identity(
-            SerialExecutor().run(specs)
+            [s.execute() for s in specs]
         )
         return [r["cache"] for r in ledger.of_kind("spec_done")]
 
@@ -532,11 +530,6 @@ class TestSessionCache:
         assert json.dumps([r.to_dict() for r in replay]) == json.dumps(
             [r.to_dict() for r in first]
         )
-
-    def test_explicit_executor_wins_over_session(self):
-        specs = small_specs()[:2]
-        results = run_specs(specs, executor=ProcessPoolExecutor(jobs=2))
-        assert [r.spec for r in results] == specs
 
 
 # ---------------------------------------------------------------- run_tasks
