@@ -89,8 +89,9 @@ keys from the rest), exactly the way
 remains is the ledger's identity: the same specs run serially, chunked
 over a warm pool, or replayed from a fully populated result cache strip
 to byte-identical records, and :func:`ledger_identity` hashes that
-projection (tested in ``tests/obs/test_telemetry.py`` and gated by the
-``sweep_fanout`` bench case and CI).
+projection (tested in ``tests/obs/test_telemetry.py`` and
+``tests/runtime/test_session.py``, gated by CI's ledger smoke and pinned
+for the ``fault_sweep_*`` workloads in ``sysbench/expected.json``).
 
 Spec order is part of the identity: per-spec records are written in spec
 order regardless of completion order (worker-side timings ride back with
@@ -268,6 +269,28 @@ def read_ledger(lines: Iterable[str], strict: bool = False) -> LedgerData:
     reader does not know are passed through untouched, so a newer
     writer's extra vocabulary degrades gracefully.
     """
+    return LedgerData(
+        *_read_jsonl(
+            lines,
+            strict,
+            "ledger_header",
+            READABLE_LEDGER_VERSIONS,
+            "ledger",
+        )
+    )
+
+
+def _read_jsonl(
+    lines: Iterable[str],
+    strict: bool,
+    header_kind: str,
+    versions: Tuple[int, ...],
+    noun: str,
+) -> Tuple[Optional[Dict], List[Dict], List[Dict]]:
+    """The tolerant JSONL reader behind :func:`read_ledger` and
+    :func:`repro.obs.trace.read_trace`: ``(header, records,
+    malformed)``.  The ``header_kind`` record must carry a ``schema`` in
+    ``versions``; ``noun`` names the stream in error messages."""
     header: Optional[Dict] = None
     records: List[Dict] = []
     malformed: List[Dict] = []
@@ -280,7 +303,7 @@ def read_ledger(lines: Iterable[str], strict: bool = False) -> LedgerData:
         except json.JSONDecodeError as exc:
             if strict:
                 raise ValueError(
-                    f"ledger line {lineno} is not valid JSON: {exc}"
+                    f"{noun} line {lineno} is not valid JSON: {exc}"
                 ) from exc
             malformed.append(
                 {"line": lineno, "error": str(exc), "text": line[:200]}
@@ -288,7 +311,7 @@ def read_ledger(lines: Iterable[str], strict: bool = False) -> LedgerData:
             continue
         if not isinstance(rec, dict):
             if strict:
-                raise ValueError(f"ledger line {lineno} is not a JSON object")
+                raise ValueError(f"{noun} line {lineno} is not a JSON object")
             malformed.append(
                 {
                     "line": lineno,
@@ -297,17 +320,16 @@ def read_ledger(lines: Iterable[str], strict: bool = False) -> LedgerData:
                 }
             )
             continue
-        if rec.get("kind") == "ledger_header":
-            if rec.get("schema") not in READABLE_LEDGER_VERSIONS:
+        if rec.get("kind") == header_kind:
+            if rec.get("schema") not in versions:
                 raise ValueError(
-                    f"ledger schema {rec.get('schema')!r} is not one of "
-                    f"{list(READABLE_LEDGER_VERSIONS)} (this reader's "
-                    f"supported versions)"
+                    f"{noun} schema {rec.get('schema')!r} is not one of "
+                    f"{list(versions)} (this reader's supported versions)"
                 )
             header = rec
         else:
             records.append(rec)
-    return LedgerData(header, records, malformed)
+    return header, records, malformed
 
 
 def strip_ledger(records: Iterable[Dict]) -> List[Dict]:
@@ -333,8 +355,9 @@ def ledger_identity(records: Iterable[Dict]) -> str:
     """sha256 over the canonical JSON of :func:`strip_ledger`.
 
     The ledger-level sibling of
-    :func:`repro.runtime.cache.result_identity`: the hash the bench
-    ``sweep_fanout`` case and the CI ledger smoke gate on.
+    :func:`repro.runtime.cache.result_identity`: the hash the
+    ``tests/obs`` / ``tests/runtime`` identity tests, the CI ledger smoke
+    and the ``fault_sweep_*`` pins in ``sysbench/expected.json`` gate on.
     """
     import hashlib
 

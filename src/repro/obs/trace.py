@@ -56,6 +56,7 @@ from typing import Deque, Dict, IO, List, NamedTuple, Optional, Sequence, Tuple
 from ..sim.engine import BlockEvent, CycleEngine, DeadlockReport
 from ..sim.fabric import Connection
 from ..topology.base import element_label, output_port_map, port_label
+from .telemetry import _read_jsonl
 
 #: bump when a record kind gains/loses/renames a field
 TRACE_SCHEMA_VERSION = 3
@@ -285,45 +286,8 @@ def read_trace(lines, strict: bool = False) -> TraceData:
     not know always raises ``ValueError`` (that is a wrong *format*, not
     a damaged file).
     """
-    header: Optional[Dict] = None
-    records: List[Dict] = []
-    malformed: List[Dict] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise ValueError(
-                    f"trace line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            malformed.append(
-                {"line": lineno, "error": str(exc), "text": line[:200]}
-            )
-            continue
-        if not isinstance(rec, dict):
-            if strict:
-                raise ValueError(
-                    f"trace line {lineno} is not a JSON object"
-                )
-            malformed.append(
-                {
-                    "line": lineno,
-                    "error": "not a JSON object",
-                    "text": line[:200],
-                }
-            )
-            continue
-        if rec.get("kind") == "trace_header":
-            if rec.get("schema") not in READABLE_SCHEMA_VERSIONS:
-                raise ValueError(
-                    f"trace schema {rec.get('schema')!r} is not one of "
-                    f"{list(READABLE_SCHEMA_VERSIONS)} (this reader's "
-                    f"supported versions)"
-                )
-            header = rec
-        else:
-            records.append(rec)
-    return TraceData(header, records, malformed)
+    return TraceData(
+        *_read_jsonl(
+            lines, strict, "trace_header", READABLE_SCHEMA_VERSIONS, "trace"
+        )
+    )

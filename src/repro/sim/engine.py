@@ -352,17 +352,12 @@ class CycleEngine:
         self,
         adapter: RoutingAdapter,
         config: Optional[SimConfig] = None,
-        trace: Optional[Callable[[int, str], None]] = None,
         hooks: Optional[HookBus] = None,
     ) -> None:
         self.adapter = adapter
         self.topo = adapter.topo
         self.config = config or SimConfig()
         self.hooks = hooks or HookBus()
-        if trace is not None:
-            # legacy event-log path; prefer hooks.on_log / TextTrace.attach
-            self.hooks.log.append(trace)
-        self.trace = trace
         if hasattr(adapter, "attach"):
             adapter.attach(self)
         self.cycle = 0
@@ -517,8 +512,6 @@ class CycleEngine:
         )
         self.engine_fallback = None
         self.hooks = HookBus()
-        if self.trace is not None:
-            self.hooks.log.append(self.trace)
         self._live_nodes = tuple(
             c for c in self.topo.node_coords() if not self._node_is_dead(c)
         )

@@ -153,9 +153,6 @@ class TextTrace:
 
     Internally this is a log-only :class:`repro.obs.trace.TraceRecorder`;
     use that class directly for structured (JSONL, multi-event) capture.
-    (The legacy path -- passing ``TextTrace(limit).hook`` as the
-    simulator's ``trace`` argument -- still works and feeds the same
-    buffer, but new code should use :meth:`attach`.)
     """
 
     def __init__(self, limit: int = 1000) -> None:
@@ -170,9 +167,6 @@ class TextTrace:
         """Subscribe to ``sim``'s event log; returns self for chaining."""
         self.recorder.attach(sim)
         return self
-
-    def hook(self, cycle: int, message: str) -> None:
-        self.recorder._on_log(cycle, message)
 
     def matching(self, needle: str) -> List[Tuple[int, str]]:
         return [(c, m) for c, m in self.events if needle in m]

@@ -30,9 +30,6 @@ from .engine import (  # noqa: F401  (re-exported for compatibility)
     find_pid_cycle,
 )
 
-#: legacy alias; prefer :func:`repro.sim.engine.find_pid_cycle`
-_find_pid_cycle = find_pid_cycle
-
 
 class NetworkSimulator(CycleEngine):
     """Flit-level simulator over an adapter-routed topology.

@@ -102,20 +102,6 @@ def test_on_log_and_texttrace_attach():
     assert trace.dump()
 
 
-def test_legacy_trace_ctor_still_logs():
-    trace = TextTrace()
-    sim = make_sim()
-    sim2 = NetworkSimulator(
-        MDCrossbarAdapter(SwitchLogic(MDCrossbar(SHAPE), make_config(SHAPE))),
-        SimConfig(),
-        trace=trace.hook,
-    )
-    del sim
-    sim2.send(Packet(Header(source=(0, 0), dest=(1, 0)), length=4))
-    sim2.run()
-    assert trace.events
-
-
 def test_monitor_subscribes_and_detaches():
     sim = make_sim()
     mon = SimMonitor(sim, interval=1)

@@ -15,11 +15,10 @@ from repro.traffic import BernoulliInjector
 from tests.conftest import make_logic
 
 
-def make_sim(topo, trace=None, **kw):
+def make_sim(topo, **kw):
     return NetworkSimulator(
         MDCrossbarAdapter(make_logic(topo, **kw)),
         SimConfig(stall_limit=200),
-        trace=trace,
     )
 
 
@@ -64,16 +63,16 @@ class TestSimMonitor:
 
 class TestTextTrace:
     def test_events_captured(self, topo43):
-        trace = TextTrace(100)
-        sim = make_sim(topo43, trace=trace.hook)
+        sim = make_sim(topo43)
+        trace = TextTrace(100).attach(sim)
         sim.send(Packet(Header(source=(0, 0), dest=(3, 2)), length=4))
         sim.run()
         assert trace.matching("injected")
         assert trace.matching("completed")
 
     def test_bounded(self, topo43):
-        trace = TextTrace(5)
-        sim = make_sim(topo43, trace=trace.hook)
+        sim = make_sim(topo43)
+        trace = TextTrace(5).attach(sim)
         for t in topo43.node_coords():
             if t != (0, 0):
                 sim.send(Packet(Header(source=(0, 0), dest=t), length=2))
@@ -81,8 +80,8 @@ class TestTextTrace:
         assert len(trace.events) == 5
 
     def test_dump(self, topo43):
-        trace = TextTrace(100)
-        sim = make_sim(topo43, trace=trace.hook)
+        sim = make_sim(topo43)
+        trace = TextTrace(100).attach(sim)
         sim.send(Packet(Header(source=(0, 0), dest=(1, 0)), length=2))
         sim.run()
         assert "[" in trace.dump(2)
