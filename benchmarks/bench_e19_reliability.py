@@ -4,7 +4,7 @@ facility, and with the multi-fault extension.
 
 The extended column comes from the campaign engine
 (:mod:`repro.analysis.campaign`) -- the same estimator the ``repro
-campaign`` CLI and the ``campaign_reliability`` bench case use, so this
+campaign`` CLI and the ``campaign_mttf`` sysbench workload use, so this
 table cannot drift from a second reliability implementation."""
 
 from repro.analysis import mttf_comparison

@@ -6,7 +6,7 @@ Subcommands:
 * ``check``     -- deadlock analysis (tiered CDG + ordering certificate)
 * ``census``    -- single- or two-fault tolerance census
 * ``simulate``  -- run uniform traffic and print latency statistics
-* ``sweep``     -- latency-vs-load sweep over the runtime executors
+* ``sweep``     -- latency-vs-load sweep over the runtime's sweep session
 * ``trace``     -- capture a structured JSONL event trace of one run
 * ``report``    -- span/metric report from a live run or a saved trace
 * ``bench``     -- pinned-counts suite with exact baseline comparison
@@ -316,7 +316,7 @@ def cmd_sweep(args) -> int:
     from .runtime import RunSpec, SweepSession, seed_replicas
 
     # fail fast on unknown schemes / kind-scheme mismatches, before any
-    # spec reaches an executor
+    # spec reaches a worker
     resolve_scheme(args.kind, args.scheme)
     specs = [
         RunSpec(

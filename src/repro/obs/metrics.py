@@ -3,7 +3,7 @@
 Everything here is a plain dataclass over builtin types, so metrics are
 
 * **picklable** -- :class:`~repro.runtime.spec.PointResult` carries them
-  across ``ProcessPoolExecutor`` workers unchanged;
+  across sweep-session worker processes unchanged;
 * **mergeable** -- :meth:`MetricSet.merge` folds the metrics of many runs
   (sweep points, seed replicas) into one set, deterministically: merging
   in spec order yields byte-identical JSON whether the points ran serially

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.runtime.spec.RunSpec` is a deterministic simulation:
 the bench suite asserts bit-identical quantities across repeats, and the
-executor tests assert serial == parallel byte-identity.  A spec's result
+runtime tests assert serial == parallel byte-identity.  A spec's result
 is therefore a pure function of the spec's *content* plus the simulator's
 code version -- exactly what a content-addressed cache wants.  Reruns of
 benchmarks, CI sweeps and experiment scripts skip simulation entirely.
@@ -91,8 +91,9 @@ def result_identity(results: Iterable[PointResult]) -> str:
 
     Two runs of the same specs must match on this string byte-for-byte
     whether they ran serially, chunked across a warm pool, or straight
-    out of the cache -- the identity the executor tests and the
-    ``sweep_fanout`` bench gate on.
+    out of the cache -- the identity the ``tests/runtime`` identity tests
+    gate on, and that ``sysbench/expected.json`` pins for the
+    ``fault_sweep_cold`` / ``fault_sweep_replay`` workloads.
     """
     docs = []
     for r in results:
