@@ -1,14 +1,28 @@
 """Unit tests for the static conflict analysis (Section 3.1)."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis import (
+    channel_route_counts,
+    check_all_embeddings,
     measure_conflicts,
     permutation_conflict_comparison,
     random_permutation_pairs,
     summarize_conflicts,
 )
+from repro.analysis.properties import route_stats
+from repro.routing import get_scheme, make_scheme, scheme_names
+from repro.traffic import KERNELS, compare_topologies
+
+#: the Section 3.1 analyses' outputs, recorded before they resolved their
+#: networks through the routing registry (see :class:`TestRouteGolden`)
+with open(os.path.join(os.path.dirname(__file__), "routes_golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 class TestPermutationPairs:
@@ -76,3 +90,63 @@ class TestComparison:
             (4, 4), samples=2, include=("md-crossbar", "hypercube")
         )
         assert set(results) == {"md-crossbar", "hypercube"}
+
+
+# -- the analyses against the past ---------------------------------------------
+ALL_KINDS = ("md-crossbar", "mesh", "torus", "hypercube")
+
+
+def _shape_id(shape) -> str:
+    return "x".join(map(str, shape))
+
+
+def route_golden():
+    """Every value ``routes_golden.json`` pins, keyed as in the file."""
+    counts = {}
+    for kind in ("md-crossbar", "mesh", "torus"):
+        for shape in ((3, 3), (4, 4), (8, 8)):
+            items = sorted(channel_route_counts(kind, shape)[0].items())
+            counts[f"{kind} {_shape_id(shape)}"] = hashlib.sha256(
+                json.dumps(items).encode()
+            ).hexdigest()
+    stats = {}
+    for name in scheme_names():
+        cls = get_scheme(name)
+        for shape in sorted({cls.bench_shape, cls.doctor_shape}):
+            stats[f"{name} {_shape_id(shape)}"] = route_stats(
+                make_scheme(name, shape)
+            )
+    return {
+        "channel_route_counts": counts,
+        "conflicts": summarize_conflicts(
+            permutation_conflict_comparison(
+                (4, 4), samples=8, seed=3, include=ALL_KINDS
+            )
+        ),
+        "embeddings": {
+            guest: r.row() for guest, r in check_all_embeddings((4, 4)).items()
+        },
+        "kernels": {
+            kernel: {
+                kind: res.row()
+                for kind, res in compare_topologies(kernel, (4, 4)).items()
+            }
+            for kernel in sorted(KERNELS)
+        },
+        "route_stats": stats,
+    }
+
+
+class TestRouteGolden:
+    """Channel route counts, permutation conflicts, embeddings, kernel
+    rows and scheme path statistics, recorded while each analysis still
+    built its own networks and walked its own routes.  A change in how a
+    network kind is resolved or a route is walked fails here."""
+
+    @pytest.fixture(scope="class")
+    def now(self):
+        return route_golden()
+
+    @pytest.mark.parametrize("section", sorted(GOLDEN))
+    def test_section_unchanged(self, now, section):
+        assert now[section] == GOLDEN[section]
