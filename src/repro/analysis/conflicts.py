@@ -17,15 +17,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines.dor import HypercubeAdapter, MeshAdapter, TorusAdapter
-from ..core.coords import Coord, all_coords, num_nodes
-from ..core.routes import Unicast, compute_route
-from ..core.switch_logic import SwitchLogic
-from ..topology.base import rtr
+from ..core.coords import Coord, all_coords
+from ..core.routes import RouteRelation, Unicast, compute_route
+from ..routing import default_scheme, make_scheme
+from ..topology.base import Topology
 from ..topology.hypercube import Hypercube
-from ..topology.mdcrossbar import MDCrossbar
-from ..topology.mesh import Mesh
-from ..topology.torus import Torus
 
 
 @dataclass
@@ -51,22 +47,13 @@ class ConflictStats:
         )
 
 
-def _md_route_channels(topo: MDCrossbar, logic: SwitchLogic, s: Coord, t: Coord):
-    tree = compute_route(topo, logic, Unicast(s, t))
-    return [c.cid for c in tree.path_to(t)]
-
-
-def _baseline_route_channels(topo, adapter, s: Coord, t: Coord):
-    cids = [topo.injection_channel(s).cid]
-    cur = s
-    in_el = ("PE", s)
-    while cur != t:
-        nxt, _vc = adapter.next_hop(cur, t, in_el, 0)
-        cids.append(topo.channel(rtr(cur), rtr(nxt)).cid)
-        in_el = rtr(cur)
-        cur = nxt
-    cids.append(topo.ejection_channel(t).cid)
-    return cids
+def route_channels(topo: Topology, relation: RouteRelation):
+    """``(source, dest) -> channel cids`` of the static route, injection to
+    ejection: :func:`~repro.core.routes.compute_route` over ``relation``
+    (a scheme's :meth:`~repro.routing.RoutingScheme.route_relation`)."""
+    return lambda s, t: [
+        c.cid for c in compute_route(topo, relation, Unicast(s, t)).path_to(t)
+    ]
 
 
 def measure_conflicts(
@@ -116,32 +103,18 @@ def permutation_conflict_comparison(
     Returns per-topology lists of :class:`ConflictStats`, one per sampled
     permutation; aggregate with :func:`summarize_conflicts`.
     """
-    from ..core.config import make_config
-
     rng = np.random.default_rng(seed)
+    coords = list(all_coords(shape))
     routers: Dict[str, object] = {}
-    if "md-crossbar" in include:
-        topo_md = MDCrossbar(shape)
-        logic = SwitchLogic(topo_md, make_config(shape))
-        routers["md-crossbar"] = lambda s, t: _md_route_channels(topo_md, logic, s, t)
-    if "mesh" in include:
-        topo_m = Mesh(shape)
-        am = MeshAdapter(topo_m)
-        routers["mesh"] = lambda s, t: _baseline_route_channels(topo_m, am, s, t)
-    if "torus" in include:
-        topo_t = Torus(shape)
-        at = TorusAdapter(topo_t)
-        routers["torus"] = lambda s, t: _baseline_route_channels(topo_t, at, s, t)
-    if "hypercube" in include:
-        n = num_nodes(shape)
-        topo_h = Hypercube.with_nodes(n)
-        ah = HypercubeAdapter(topo_h)
-        hcoords = list(all_coords(topo_h.shape))
-        coords = list(all_coords(shape))
-        to_h = {c: hcoords[i] for i, c in enumerate(coords)}
-        routers["hypercube"] = lambda s, t: _baseline_route_channels(
-            topo_h, ah, to_h[s], to_h[t]
-        )
+    for kind in include:
+        net = shape
+        if kind == "hypercube":
+            # the k-cube on the same 2**k nodes, matched in row-major order
+            net = Hypercube.with_nodes(len(coords)).shape
+        sch = make_scheme(default_scheme(kind), net)
+        route = route_channels(sch.topo, sch.route_relation())
+        to_net = dict(zip(coords, all_coords(net)))
+        routers[kind] = lambda s, t, route=route, m=to_net: route(m[s], m[t])
 
     results: Dict[str, List[ConflictStats]] = {k: [] for k in routers}
     for _ in range(samples):

@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..core.config import make_config
 from ..core.coords import Coord, all_coords, num_nodes
-from ..core.switch_logic import SwitchLogic
-from ..topology.mdcrossbar import MDCrossbar
-from .conflicts import ConflictStats, _md_route_channels, measure_conflicts
+from ..routing import make_scheme
+from .conflicts import ConflictStats, measure_conflicts, route_channels
 
 Pair = Tuple[Coord, Coord]
 
@@ -163,8 +161,8 @@ def check_embedding(
 ) -> EmbeddingReport:
     """Route every phase of the guest program on the MD crossbar and report
     whether any channel carries two messages at once."""
-    topo = MDCrossbar(shape)
-    logic = SwitchLogic(topo, make_config(shape))
+    sch = make_scheme("dxb", shape)
+    route = route_channels(sch.topo, sch.route_relation())
     phase_fn = GUESTS[guest]
     phases = phase_fn(shape)
     worst: ConflictStats | None = None
@@ -172,11 +170,7 @@ def check_embedding(
     for i, phase in enumerate(phases):
         pairs = [(s, t) for s, t in phase if s != t]
         total += len(pairs)
-        stats = measure_conflicts(
-            f"{guest}/phase{i}",
-            lambda s, t: _md_route_channels(topo, logic, s, t),
-            pairs,
-        )
+        stats = measure_conflicts(f"{guest}/phase{i}", route, pairs)
         if worst is None or stats.max_channel_load > worst.max_channel_load:
             worst = stats
     assert worst is not None

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.coords import all_coords, hop_distance, num_nodes
+from ..core.routes import route_all_unicasts
 from ..topology.base import Topology
 from ..topology.fullcrossbar import FullMesh
 from ..topology.hypercube import Hypercube
@@ -143,8 +144,9 @@ def comparison_table(n_target: int = 64) -> Dict[str, NetworkProfile]:
 def route_stats(scheme) -> Dict[str, float]:
     """Path-length statistics of a routing scheme's static route relation.
 
-    Walks the scheme's preferred-branch route for every deliverable pair
-    (see :meth:`repro.routing.RoutingScheme.static_route`) and compares
+    Walks the scheme's route relation (the preferred branch of adaptive
+    decisions) for every deliverable pair with
+    :func:`~repro.core.routes.route_all_unicasts`, and compares
     against the shortest channel path in the element graph, giving the
     scheme's **path stretch** -- 1.0 for minimal routing, above 1.0 when
     detours/misroutes lengthen paths (e.g. the D-XB detour under a
@@ -174,22 +176,16 @@ def route_stats(scheme) -> Dict[str, float]:
         for d in live:
             if d != s:
                 shortest[(s, d)] = dist[pe_el(d)]
-    actual_total = 0
-    minimal_total = 0
-    longest = 0
-    pairs = 0
-    for (s, d), route in scheme.static_routes().items():
-        pairs += 1
-        actual_total += len(route)
-        minimal_total += shortest[(s, d)]
-        longest = max(longest, len(route))
-    if pairs == 0:
+    trees = route_all_unicasts(topo, scheme.route_relation())
+    if not trees:
         return {"pairs": 0, "avg_channels": 0.0, "max_channels": 0, "stretch": 1.0}
+    lengths = [len(t.path_to(t.flow.dest)) for t in trees]
+    minimal_total = sum(shortest[(t.flow.source, t.flow.dest)] for t in trees)
     return {
-        "pairs": pairs,
-        "avg_channels": round(actual_total / pairs, 4),
-        "max_channels": longest,
-        "stretch": round(actual_total / minimal_total, 4),
+        "pairs": len(trees),
+        "avg_channels": round(sum(lengths) / len(trees), 4),
+        "max_channels": max(lengths),
+        "stretch": round(sum(lengths) / minimal_total, 4),
     }
 
 

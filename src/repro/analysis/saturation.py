@@ -19,14 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..baselines.dor import MeshAdapter, TorusAdapter
-from ..core.config import make_config
 from ..core.coords import all_coords, num_nodes
-from ..core.switch_logic import SwitchLogic
-from ..topology.mdcrossbar import MDCrossbar
-from ..topology.mesh import Mesh
-from ..topology.torus import Torus
-from .conflicts import _baseline_route_channels, _md_route_channels
+from ..routing import default_scheme, make_scheme
+from .conflicts import route_channels
 
 
 @dataclass
@@ -50,34 +45,16 @@ class SaturationEstimate:
 
 
 def channel_route_counts(name: str, shape) -> Tuple[Counter, Dict[int, object]]:
-    """Route-count per channel cid over all source-destination pairs."""
+    """Route-count per channel cid over all source-destination pairs of
+    the network kind ``name``, routed by its default scheme."""
+    sch = make_scheme(default_scheme(name), shape)
+    route = route_channels(sch.topo, sch.route_relation())
     counts: Counter = Counter()
-    if name == "md-crossbar":
-        topo = MDCrossbar(shape)
-        logic = SwitchLogic(topo, make_config(shape))
-
-        def route(s, t):
-            return _md_route_channels(topo, logic, s, t)
-    elif name == "mesh":
-        topo = Mesh(shape)
-        adapter = MeshAdapter(topo)
-
-        def route(s, t):
-            return _baseline_route_channels(topo, adapter, s, t)
-    elif name == "torus":
-        topo = Torus(shape)
-        adapter = TorusAdapter(topo)
-
-        def route(s, t):
-            return _baseline_route_channels(topo, adapter, s, t)
-    else:
-        raise ValueError(f"unknown topology {name!r}")
     for s in all_coords(shape):
         for t in all_coords(shape):
             if s != t:
                 counts.update(route(s, t))
-    chans = {c.cid: c for c in topo.channels()}
-    return counts, chans
+    return counts, {c.cid: c for c in sch.topo.channels()}
 
 
 def estimate_saturation(name: str, shape) -> SaturationEstimate:

@@ -26,14 +26,14 @@ from ..core.coords import Coord
 from ..core.packet import RC, Header
 from ..sim.adapter import SimDecision
 from ..topology.base import ElementId, element_kind, ElementKind, pe, rtr
-from ..topology.hypercube import Hypercube
-from ..topology.mesh import Mesh
-from ..topology.torus import Torus
 
 
 class _BaselineAdapter:
     """Shared plumbing: deliver at the destination, else ask the subclass
     for the next (neighbor, vc) along dimension-order."""
+
+    #: virtual channels per physical channel the adapter routes on
+    required_vcs = 1
 
     def __init__(self, topo) -> None:
         self.topo = topo
@@ -63,9 +63,6 @@ class _BaselineAdapter:
 class MeshAdapter(_BaselineAdapter):
     """Dimension-order routing on a mesh (single VC)."""
 
-    def __init__(self, topo: Mesh) -> None:
-        super().__init__(topo)
-
     def next_hop(self, cur, dest, in_from, in_vc):
         for k in range(len(cur)):
             if cur[k] != dest[k]:
@@ -84,9 +81,6 @@ class TorusAdapter(_BaselineAdapter):
     """
 
     required_vcs = 2
-
-    def __init__(self, topo: Torus) -> None:
-        super().__init__(topo)
 
     def next_hop(self, cur, dest, in_from, in_vc):
         shape = self.topo.shape
@@ -113,9 +107,6 @@ class HypercubeAdapter(_BaselineAdapter):
     """E-cube routing: flip differing address bits in ascending dimension
     order (single VC)."""
 
-    def __init__(self, topo: Hypercube) -> None:
-        super().__init__(topo)
-
     def next_hop(self, cur, dest, in_from, in_vc):
         for k in range(len(cur)):
             if cur[k] != dest[k]:
@@ -130,16 +121,3 @@ def _link_dim(a: Coord, b: Coord) -> int:
             return k
     return -1
 
-
-def make_baseline(kind: str, shape) -> Tuple[object, _BaselineAdapter, int]:
-    """Build (topology, adapter, required num_vcs) for a named baseline."""
-    if kind == "mesh":
-        t = Mesh(shape)
-        return t, MeshAdapter(t), 1
-    if kind == "torus":
-        t = Torus(shape)
-        return t, TorusAdapter(t), 2
-    if kind == "hypercube":
-        t = Hypercube(shape if isinstance(shape, int) else len(shape))
-        return t, HypercubeAdapter(t), 1
-    raise ValueError(f"unknown baseline {kind!r}")

@@ -98,8 +98,9 @@ def _build(args) -> tuple:
 
 
 def _build_sim(args, stall_limit: int):
-    """A simulator honoring ``--scheme``/``--recovery``/``--engine``
-    (trace/report).
+    """A simulator from the parsed arguments, honoring
+    ``--scheme``/``--recovery``/``--engine`` where the subcommand has them
+    (simulate, trace, report, collectives, replay, the doctor's obs check).
 
     An explicit routing scheme dispatches through the
     :mod:`repro.routing` registry; the default keeps the legacy paper
@@ -257,14 +258,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
     from .sim.stats import LatencyStats
     from .traffic import BernoulliInjector, get_pattern
 
-    topo, logic = _build(args)
-    sim = NetworkSimulator(
-        MDCrossbarAdapter(logic), SimConfig(stall_limit=args.stall_limit)
-    )
+    sim = _build_sim(args, stall_limit=args.stall_limit)
     gen = BernoulliInjector(
         load=args.load,
         packet_length=args.packet_length,
@@ -312,12 +309,16 @@ def cmd_sweep(args) -> int:
     import json as _json
 
     from .obs import LiveDashboard, SweepLedger
-    from .routing import resolve_scheme
+    from .routing import make_scheme, resolve_scheme
     from .runtime import RunSpec, SweepSession, seed_replicas
 
-    # fail fast on unknown schemes / kind-scheme mismatches, before any
-    # spec reaches a worker
-    resolve_scheme(args.kind, args.scheme)
+    # fail fast on unknown schemes, kind-scheme mismatches and the shapes
+    # or faults a scheme rejects, before any spec reaches a worker
+    make_scheme(
+        resolve_scheme(args.kind, args.scheme)[1],
+        args.shape,
+        faults=tuple(args.fault or ()),
+    )
     specs = [
         RunSpec(
             kind=args.kind,
@@ -806,15 +807,11 @@ def cmd_collectives(args) -> int:
         LinearBroadcast,
     )
     from .core import Header, Packet, RC
-    from .sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 
-    topo, logic = _build(args)
     root = tuple(0 for _ in args.shape)
 
     def fresh():
-        return NetworkSimulator(
-            MDCrossbarAdapter(logic), SimConfig(stall_limit=5000)
-        )
+        return _build_sim(args, stall_limit=5000)
 
     sim = fresh()
     pkt = Packet(
@@ -845,22 +842,12 @@ def cmd_collectives(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
     from .sim.stats import LatencyStats
-    from .core import SwitchLogic
     from .traffic import WorkloadTrace
 
     trace = WorkloadTrace.load(args.trace)
-    topo = MDCrossbar(trace.shape)
-    cfg = make_config(
-        trace.shape,
-        faults=tuple(args.fault or ()),
-        detour_scheme=DetourScheme(args.detour),
-        broadcast_mode=BroadcastMode(args.broadcast),
-    )
-    sim = NetworkSimulator(
-        MDCrossbarAdapter(SwitchLogic(topo, cfg)), SimConfig(stall_limit=5000)
-    )
+    args.shape = trace.shape
+    sim = _build_sim(args, stall_limit=5000)
     trace.install(sim)
     res = sim.run(max_cycles=args.max_cycles)
     stats = LatencyStats.from_packets(res.delivered)
@@ -890,12 +877,13 @@ def _doctor_obs() -> List[Tuple[str, bool]]:
         spans_from_trace,
     )
     from .obs.collectors import CollectorSuite
-    from .sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 
-    shape = (3, 3)
-    topo = MDCrossbar(shape)
-    logic = SwitchLogic(topo, make_config(shape))
-    sim = NetworkSimulator(MDCrossbarAdapter(logic), SimConfig())
+    sim = _build_sim(
+        argparse.Namespace(
+            shape=(3, 3), fault=None, detour="safe", broadcast="serialized"
+        ),
+        stall_limit=1000,
+    )
     suite = CollectorSuite(sim)
     spans = PacketSpanCollector().attach(sim)
     sink = io.StringIO()

@@ -9,7 +9,7 @@ the switch logic cannot hide behind itself.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..topology.base import ElementId, pe, rtr, xb
 from .config import RoutingConfig
@@ -53,13 +53,3 @@ def expected_request_leg_elements(
             seq.append(rtr(cur))
     seq.append(config.sxb_element)
     return tuple(seq)
-
-
-def expected_broadcast_recipients(
-    shape: Sequence[int], dead: Sequence[Coord] = ()
-) -> set:
-    """Every live PE receives a broadcast exactly once."""
-    from .coords import all_coords
-
-    deadset = set(tuple(c) for c in dead)
-    return {c for c in all_coords(shape) if c not in deadset}

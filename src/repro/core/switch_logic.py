@@ -91,10 +91,6 @@ class Decision:
     drop: bool = False
     reason: str = ""
 
-    @property
-    def is_multicast(self) -> bool:
-        return len(self.outputs) > 1
-
 
 DROP = object()  # sentinel used internally
 

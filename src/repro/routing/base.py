@@ -9,9 +9,9 @@ about one routing algorithm on one network:
   ``RunSpec.kind``) and the topology instance it builds;
 * a **per-element decision function** -- the simulator adapter returned by
   :meth:`build` (``adapter.decide(element, in_from, in_vc, header)``);
-* **static route enumeration** (:meth:`static_route` /
-  :meth:`static_routes`): the path a packet takes on an idle network,
-  used for path-overhead analysis and static delivery checks;
+* a **route relation** (:meth:`route_relation`) that
+  :func:`repro.core.routes.compute_route` walks to the path a packet takes
+  on an idle network, for path-overhead, conflict and delivery analyses;
 * a **CDG edge contribution** (:meth:`dependency_edges`): the waiting
   graph over ``(channel, vc)`` resources whose acyclicity is the scheme's
   deadlock-freedom argument, checked by :meth:`check_cycle_free`.
@@ -34,7 +34,7 @@ from ..core.coords import Coord
 from ..core.packet import RC, Header
 from ..core.switch_logic import Decision
 from ..sim.adapter import SimDecision
-from ..topology.base import Channel, ElementId, ElementKind, Topology, element_kind, pe
+from ..topology.base import ElementId, ElementKind, Topology, element_kind
 
 #: a CDG resource: one virtual channel of one physical channel
 VCKey = Tuple[int, int]  # (channel cid, vc)
@@ -109,44 +109,6 @@ class RoutingScheme:
             for d in live:
                 if s != d:
                     yield s, d
-
-    def static_route(self, source: Coord, dest: Coord) -> List[Tuple[Channel, int]]:
-        """The preferred-branch path on an idle network.
-
-        Returns the traversed ``(channel, vc)`` sequence from the source
-        PE's injection channel to the destination PE's ejection channel.
-        For ``policy="any"`` decisions the first candidate is the one the
-        grant phase takes when every output is free, so this is exactly
-        the idle-network path.
-        """
-        header = Header(source=tuple(source), dest=tuple(dest))
-        chan = self.topo.injection_channel(tuple(source))
-        path: List[Tuple[Channel, int]] = [(chan, 0)]
-        el = chan.dst
-        in_from, in_vc = chan.src, 0
-        limit = 4 * self.topo.num_channels + 16
-        for _ in range(limit):
-            d = self.adapter.decide(el, in_from, in_vc, header)
-            if d.drop or not d.outputs:
-                raise RuntimeError(
-                    f"scheme {self.name!r} dropped {source}->{dest} at {el}"
-                )
-            out_el, out_vc = d.outputs[0]
-            path.append((self.topo.channel(el, out_el), out_vc))
-            header = header.with_rc(d.rc)
-            if element_kind(out_el) is ElementKind.PE:
-                if out_el != pe(tuple(dest)):
-                    raise RuntimeError(
-                        f"scheme {self.name!r} delivered {source}->{dest} "
-                        f"at the wrong PE {out_el}"
-                    )
-                return path
-            in_from, in_vc, el = el, out_vc, out_el
-        raise RuntimeError(f"scheme {self.name!r} looped routing {source}->{dest}")
-
-    def static_routes(self) -> Dict[Tuple[Coord, Coord], List[Tuple[Channel, int]]]:
-        """Preferred-branch routes for every deliverable pair."""
-        return {(s, d): self.static_route(s, d) for s, d in self.route_pairs()}
 
     # ------------------------------------------------------ CDG contribution
     def cdg_branches(self, decision: SimDecision) -> Sequence[Tuple[ElementId, int]]:

@@ -2,7 +2,7 @@
 
 from .adaptive import ADAPTIVE_VC, ESCAPE_VC, AdaptiveMDAdapter
 from .adapter import MDCrossbarAdapter, RoutingAdapter, SimDecision
-from .config import SimConfig, Switching
+from .config import SimConfig
 from .engine import (
     BLOCK_KINDS,
     PHASES,
@@ -50,6 +50,5 @@ __all__ = [
     "SimDecision",
     "SimFlit",
     "SimResult",
-    "Switching",
     "VCState",
 ]

@@ -12,15 +12,7 @@ tail drains).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Switching(str, enum.Enum):
-    """Named buffer presets; both run the same flit pipeline."""
-
-    WORMHOLE = "wormhole"
-    VIRTUAL_CUT_THROUGH = "vct"
 
 
 @dataclass(frozen=True)

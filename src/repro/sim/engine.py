@@ -300,13 +300,6 @@ class SimResult:
         lats = self.latencies
         return sum(lats) / len(lats) if lats else float("nan")
 
-    def throughput_flits_per_cycle(self) -> float:
-        """Delivered payload flits per cycle (unicast deliveries only count
-        once; broadcast copies count per recipient)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.flit_moves / self.cycles
-
     def fingerprint(self) -> Tuple:
         """A compact, order-sensitive identity of the run, for parity and
         regression tests.  Packet ids are rebased to the smallest id seen

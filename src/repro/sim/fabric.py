@@ -106,11 +106,6 @@ class VCState:
     def head(self) -> Optional[SimFlit]:
         return self.buffer[0] if self.buffer else None
 
-    def body_run(self, pid: int, limit: int) -> int:
-        """Length of the run of ``pid``'s body flits at the buffer head,
-        capped at ``limit`` (see :func:`flit_body_run`)."""
-        return flit_body_run(self.buffer, pid, limit)
-
     def popleft_checked(self, pid: int) -> SimFlit:
         flit = self.buffer.popleft()
         if flit.pid != pid:  # pragma: no cover - guards an engine invariant

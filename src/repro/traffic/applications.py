@@ -180,32 +180,12 @@ def compare_topologies(
     kinds: Sequence[str] = ("md-crossbar", "mesh", "torus"),
     packet_length: int = 8,
 ) -> Dict[str, WorkloadResult]:
-    """Run one kernel on the MD crossbar and baseline topologies."""
-    from ..baselines import make_baseline
-    from ..core.config import make_config
-    from ..core.switch_logic import SwitchLogic
-    from ..sim.adapter import MDCrossbarAdapter
-    from ..sim.config import SimConfig
-    from ..sim.network import NetworkSimulator
-    from ..topology.mdcrossbar import MDCrossbar
+    """Run one kernel on the MD crossbar and baseline topologies, each
+    network built by its kind's default routing scheme."""
+    from ..experiments.sweeps import build_network
 
-    out: Dict[str, WorkloadResult] = {}
     workload = PhasedWorkload(kernel, shape, packet_length=packet_length)
-    for kind in kinds:
-        if kind == "md-crossbar":
-            topo = MDCrossbar(shape)
-            logic = SwitchLogic(topo, make_config(shape))
-
-            def factory(logic=logic):
-                return NetworkSimulator(
-                    MDCrossbarAdapter(logic), SimConfig(stall_limit=5000)
-                )
-        else:
-            topo, adapter, vcs = make_baseline(kind, shape)
-
-            def factory(adapter=adapter, vcs=vcs):
-                return NetworkSimulator(
-                    adapter, SimConfig(num_vcs=vcs, stall_limit=5000)
-                )
-        out[kind] = workload.run(factory)
-    return out
+    return {
+        kind: workload.run(build_network(kind, shape, stall_limit=5000))
+        for kind in kinds
+    }

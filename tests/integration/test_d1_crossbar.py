@@ -75,14 +75,12 @@ class TestSafety:
     def test_conflict_free_permutation(self, xbar):
         """The paper: a conventional crossbar has no conflicts in almost
         all patterns -- a rotation permutation shares no channel."""
-        from repro.analysis.conflicts import _md_route_channels, measure_conflicts
+        from repro.analysis.conflicts import measure_conflicts, route_channels
 
         logic = make_logic(xbar)
         coords = list(xbar.node_coords())
         pairs = [
             (coords[i], coords[(i + 2) % len(coords)]) for i in range(len(coords))
         ]
-        stats = measure_conflicts(
-            "crossbar", lambda s, t: _md_route_channels(xbar, logic, s, t), pairs
-        )
+        stats = measure_conflicts("crossbar", route_channels(xbar, logic), pairs)
         assert stats.conflict_free

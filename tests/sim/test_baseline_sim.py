@@ -3,13 +3,10 @@ flit engine."""
 
 import pytest
 
-from repro.baselines import (
-    HypercubeAdapter,
-    MeshAdapter,
-    TorusAdapter,
-    make_baseline,
-)
+from repro.baselines import HypercubeAdapter, MeshAdapter, TorusAdapter
 from repro.core import Header, Packet, RC
+from repro.core.config import ConfigError
+from repro.routing import make_scheme
 from repro.sim import NetworkSimulator, SimConfig
 from repro.topology import Hypercube, Mesh, Torus
 
@@ -112,20 +109,41 @@ class TestHypercubeSim:
 
 
 class TestFactory:
-    def test_make_baseline_mesh(self):
-        topo, adapter, vcs = make_baseline("mesh", (4, 4))
-        assert isinstance(adapter, MeshAdapter)
-        assert vcs == 1
+    def test_make_scheme_mesh(self):
+        sch = make_scheme("mesh", (4, 4))
+        assert isinstance(sch.adapter, MeshAdapter)
+        assert sch.num_vcs == 1
 
-    def test_make_baseline_torus(self):
-        _, adapter, vcs = make_baseline("torus", (4, 4))
-        assert isinstance(adapter, TorusAdapter)
-        assert vcs == 2
+    def test_make_scheme_torus(self):
+        sch = make_scheme("torus", (4, 4))
+        assert isinstance(sch.adapter, TorusAdapter)
+        assert sch.num_vcs == 2
 
-    def test_make_baseline_hypercube(self):
-        topo, adapter, vcs = make_baseline("hypercube", 4)
-        assert topo.num_nodes == 16
+    def test_make_scheme_hypercube(self):
+        sch = make_scheme("hypercube", (2, 2, 2, 2))
+        assert isinstance(sch.adapter, HypercubeAdapter)
+        assert sch.topo.num_nodes == 16
+        assert sch.num_vcs == 1
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_baseline("ring", (4,))
+            make_scheme("ring", (4,))
+
+
+class TestHypercubeShape:
+    """A hypercube shape is 2x...x2; any other extent is refused instead
+    of being reread as ``len(shape)`` dimensions."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5, 7), (2, 4), 4])
+    def test_rejects_other_extents(self, shape):
+        with pytest.raises(ConfigError, match="2x...x2"):
+            make_scheme("hypercube", shape)
+
+    def test_names_the_equivalent_shape(self):
+        with pytest.raises(ConfigError, match="16-node hypercube is 2x2x2x2"):
+            make_scheme("hypercube", (4, 4))
+
+    def test_no_hint_without_a_power_of_two(self):
+        with pytest.raises(ConfigError) as e:
+            make_scheme("hypercube", (3, 5, 7))
+        assert "node hypercube" not in str(e.value)

@@ -83,10 +83,10 @@ class TestInjectFault:
             sim.inject_fault(Fault.crossbar(1, (1,)))
 
     def test_requires_md_adapter(self):
-        from repro.baselines import make_baseline
+        from repro.routing import make_scheme
 
-        topo, adapter, vcs = make_baseline("mesh", (3, 3))
-        sim = NetworkSimulator(adapter, SimConfig(num_vcs=vcs))
+        sch = make_scheme("mesh", (3, 3))
+        sim = NetworkSimulator(sch.adapter, SimConfig(num_vcs=sch.num_vcs))
         with pytest.raises(TypeError):
             sim.inject_fault(Fault.router((1, 1)))
 

@@ -252,6 +252,15 @@ class TestSweepCommand:
         assert rc == 0
         assert "mesh 3x3" in out
 
+    def test_sweep_rejects_a_hypercube_shape_before_running(self, capsys):
+        rc = main(["sweep", "--kind", "hypercube", "--loads", "0.1",
+                   *SWEEP_FAST[2:], "--shape", "4x4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "2x2x2x2" in captured.err
+        assert captured.out == ""
+
     def test_sweep_metrics_table(self, capsys):
         rc = main(["sweep", "--loads", "0.05,0.15", "--metrics", *SWEEP_FAST])
         out = capsys.readouterr().out

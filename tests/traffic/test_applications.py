@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import ConfigError
 from repro.core.coords import num_nodes
 from repro.traffic.applications import (
     KERNELS,
@@ -123,3 +124,14 @@ class TestComparisons:
         # neighbour traffic is the mesh's home turf: the MD crossbar ties
         # within a small constant
         assert md.total_cycles <= 1.3 * mesh.total_cycles
+
+    def test_hypercube_runs_every_transfer(self):
+        out = compare_topologies(
+            "stencil", (2, 2, 2, 2), kinds=("md-crossbar", "hypercube")
+        )
+        md, cube = out["md-crossbar"], out["hypercube"]
+        assert md.total_transfers == cube.total_transfers == 64
+
+    def test_hypercube_refuses_other_extents(self):
+        with pytest.raises(ConfigError, match="2x2x2x2"):
+            compare_topologies("stencil", (4, 4), kinds=("hypercube",))
