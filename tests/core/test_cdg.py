@@ -26,7 +26,7 @@ from repro.core import (
 from repro.core.config import BroadcastMode, ConfigError, DetourScheme
 from repro.core.multifault import all_single_faults
 from repro.core.packet import RC
-from repro.core.routes import RouteLoopError, Unicast
+from repro.core.routes import RouteLoopError, Unicast, unicast_pairs
 from repro.core.switch_logic import Decision, UnreachableDestinationError
 from repro.topology import MDCrossbar, rtr
 from tests.conftest import make_logic
@@ -331,16 +331,9 @@ def certificate_cases(shape, faults, modes):
                 )
 
 
-def certificate(topo, fault, mode, scheme):
-    """What the judge says about one configuration, and the route trees
-    it is built from, as JSON-able values and digests."""
-    try:
-        logic = make_logic(
-            topo, fault=fault, broadcast_mode=mode, detour_scheme=scheme
-        )
-    except ConfigError as e:
-        return {"config_error": str(e)}
-    cdg = build_cdg(topo, logic)
+def verdict(cdg):
+    """What the judge says about one dependency graph, as JSON-able values
+    and a digest of ``succ``."""
     res = cdg.find_deadlock()
     hazard = res.hazard and {
         "kind": res.hazard.kind,
@@ -354,9 +347,36 @@ def certificate(topo, fault, mode, scheme):
         "num_flows": res.num_flows,
         "hazard": hazard,
         "succ": _digest(sorted([u, sorted(vs)] for u, vs in cdg.succ.items())),
+    }
+
+
+def certificate(topo, fault, mode, scheme):
+    """What the judge says about one configuration, and the route trees
+    it is built from, as JSON-able values and digests."""
+    try:
+        logic = make_logic(
+            topo, fault=fault, broadcast_mode=mode, detour_scheme=scheme
+        )
+    except ConfigError as e:
+        return {"config_error": str(e)}
+    return {
+        **verdict(build_cdg(topo, logic)),
         "unicasts": _digest(_tree_rows(route_all_unicasts(topo, logic))),
         "broadcasts": _digest(_tree_rows(route_all_broadcasts(topo, logic))),
     }
+
+
+def subset_certificate(topo, fault, stride):
+    """The verdict on a serialized configuration under the naive detour
+    scheme that routes every ``stride``-th unicast pair and every
+    broadcast.  With all pairs routed such a configuration fails in
+    tier 1; thinned out, many fail in tier 2 instead."""
+    try:
+        logic = make_logic(topo, fault=fault, detour_scheme=DetourScheme.NAIVE)
+    except ConfigError as e:
+        return {"config_error": str(e)}
+    flows = [Unicast(s, t) for s, t in unicast_pairs(topo, logic)[::stride]]
+    return verdict(build_cdg(topo, logic, unicast_flows=flows))
 
 
 #: shape -> (faults, broadcast modes): every single fault of four small
@@ -387,12 +407,44 @@ def golden_cases(shape):
     return list(certificate_cases(shape, [None, *faults], modes))
 
 
+#: every single fault of three small shapes, every k-th unicast pair: the
+#: rows whose serialized-mode hazard is a tier-2 witness
+SUBSET_SHAPES = [(4, 3), (3, 3, 2), (2, 2, 2)]
+SUBSET_STRIDES = (3, 5, 7)
+
+
+def subset_cases(shape):
+    """``(case id, fault, stride)`` per thinned-out configuration."""
+    name = "x".join(map(str, shape))
+    return [
+        (f"{name} | {fault or 'fault-free'} | unicasts[::{k}]", fault, k)
+        for fault in [None, *all_single_faults(shape)]
+        for k in SUBSET_STRIDES
+    ]
+
+
 class TestCertificateGolden:
     """Verdicts, hazard witnesses, ``succ`` and the route trees of every
     configuration in ``cdg_golden.json``, recorded before the decision
     cache and the shared S-XB spread existed.  The tree digests route
     through the cached ``decide``, so a cache key that is too narrow
-    fails here independently of the laws in ``test_switch_logic.py``."""
+    fails here independently of the laws in ``test_switch_logic.py``.
+    The ``unicast_subsets`` rows, recorded before the spread was shared
+    by reference, hold the serialized mode's tier-2 witnesses."""
+
+    @pytest.mark.parametrize(
+        "shape", SUBSET_SHAPES, ids=lambda s: "x".join(map(str, s))
+    )
+    def test_unicast_subsets_unchanged(self, shape):
+        topo = MDCrossbar(shape)
+        cases = subset_cases(shape)
+        golden = GOLDEN["unicast_subsets"]
+        prefix = "x".join(map(str, shape)) + " |"
+        assert [case_id for case_id, *_ in cases] == [
+            case_id for case_id in golden if case_id.startswith(prefix)
+        ]
+        for case_id, fault, stride in cases:
+            assert subset_certificate(topo, fault, stride) == golden[case_id], case_id
 
     @pytest.mark.parametrize(
         "shape", list(GOLDEN_SHAPES), ids=lambda s: "x".join(map(str, s))
