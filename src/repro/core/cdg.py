@@ -28,7 +28,10 @@ deadlock closing through the multicast therefore requires channels
 tier-1 CDG path ``w ->+ a`` (the chain of path packets that hold ``w`` and
 transitively wait back into the tree).  Channels granted *atomically* by the
 serialized S-XB (its output ports) are never waited by the multicast itself
-and are excluded from ``w``.
+and are excluded from ``w``.  Serialized broadcasts share one S-XB spread
+below their request legs, so this condition is checked once for the spread
+and its legs together (:meth:`ChannelDependencyGraph._tier2`), not once per
+source.
 
 **Tier 3 -- concurrent multicasts.**  Only the naive (non-serialized)
 broadcast mode allows two multicasts in flight; under serialization the
@@ -51,17 +54,30 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..topology.base import Channel, ElementId, Topology
 from .config import BroadcastMode
 from .coords import Coord
 from .routes import (
+    Broadcast,
     RouteRelation,
     RouteTree,
     Unicast,
+    _Spread,
+    broadcast_legs,
     compute_route,
-    route_all_broadcasts,
     unicast_pairs,
     walk_unicast_states,
 )
@@ -140,37 +156,60 @@ class CDGResult:
     def __bool__(self) -> bool:
         return self.deadlock_free
 
-    # backwards-friendly alias
-    @property
-    def cycle(self) -> Optional[DeadlockHazard]:
-        return self.hazard
-
 
 class _TreeInfo:
-    """Per-multicast-tree data for tiers 2 and 3."""
+    """Channel ids, ancestor sets and waitable channels of one multicast
+    tree -- or of the S-XB spread that serialized broadcasts share -- for
+    tiers 2 and 3."""
 
-    def __init__(self, tree: RouteTree, serialized: bool) -> None:
-        self.tree = tree
-        self.name = str(tree.flow)
+    def __init__(
+        self,
+        name: str,
+        parent: Iterable[Tuple[Channel, Optional[Channel]]],
+        atomic: Set[int],
+    ) -> None:
+        """``parent`` lists (channel, parent) parent-first, ``None`` at a
+        root; ``atomic`` holds the channels the serialized S-XB grants at
+        once.  The multicast never *waits* for those or for a root."""
+        self.name = name
         self.cids: Set[int] = set()
         self.anc: Dict[int, Set[int]] = {}
-        # insertion order is parent-first, so the parent's set exists
-        for c in tree.channels():
+        roots: Set[int] = set()
+        for c, p in parent:
             self.cids.add(c.cid)
-            p = tree.parent[c]
-            self.anc[c.cid] = {c.cid} if p is None else self.anc[p.cid] | {c.cid}
-        # channels granted atomically by the serialized S-XB: the multicast
-        # never *waits* for them
-        self.atomic: Set[int] = set()
+            if p is None:
+                roots.add(c.cid)
+                self.anc[c.cid] = {c.cid}
+            else:
+                self.anc[c.cid] = self.anc[p.cid] | {c.cid}
+        self.waitable: Set[int] = self.cids - atomic - roots
+
+    @classmethod
+    def of_tree(cls, tree: RouteTree, serialized: bool) -> "_TreeInfo":
+        atomic: Set[int] = set()
         if serialized:
             for entry in tree.serialize_entries:
-                self.atomic.update(ch.cid for ch in tree.children[entry])
-        self.waitable: Set[int] = self.cids - self.atomic - {tree.root.cid}
+                atomic.update(ch.cid for ch in tree.children[entry])
+        return cls(str(tree.flow), tree.parent.items(), atomic)
 
     def state_allows(self, held: int, waited: int) -> bool:
         """True if some prefix-closed state holds ``held`` while ``waited``
         is still pending."""
         return waited in self.waitable and waited not in self.anc[held]
+
+
+class _Leg:
+    """A serialized broadcast held as its request leg and the shared
+    :class:`_TreeInfo` of the S-XB spread below it.  Every leg channel is
+    an ancestor of every spread channel."""
+
+    __slots__ = ("name", "flow", "cids", "spread")
+
+    def __init__(self, flow: Broadcast, cids: Set[int], spread: _TreeInfo) -> None:
+        self.name = str(flow)
+        self.flow = flow
+        self.cids = cids
+        self.spread = spread
 
 
 class ChannelDependencyGraph:
@@ -184,12 +223,16 @@ class ChannelDependencyGraph:
         #: only when a hazard names them (:meth:`_edge_labels`).
         self.edge_flows: Dict[Tuple[int, int], str] = {}
         self.channels: Dict[int, Channel] = {}
-        self.trees: List[_TreeInfo] = []
+        #: one entry per broadcast, in source order: a whole tree's
+        #: :class:`_TreeInfo`, or a :class:`_Leg` sharing a spread's
+        self.trees: List[Union[_TreeInfo, _Leg]] = []
         self.concurrent_trees: bool = False
         self.num_flows = 0
-        self._reach_cache: Dict[int, Set[int]] = {}
         #: arguments of every :meth:`add_unicasts` call, for lazy labelling
         self._unicasts: List[tuple] = []
+        #: the relation the broadcasts were walked on, to rebuild a leg's
+        #: whole tree for a witness
+        self._relation: Optional[Tuple[Topology, RouteRelation]] = None
 
     # ------------------------------------------------------------ building
     def _note_channel(self, c: Channel) -> None:
@@ -253,32 +296,61 @@ class ChannelDependencyGraph:
                             claim(c, o, name + " @S-XB barrier")
         return {self.edge_flows[e] for e in edges}
 
-    def add_multicast_tree(
+    def add_broadcasts(
         self,
-        tree: RouteTree,
-        serialized: bool,
-        sxb_element=None,
+        topo: Topology,
+        logic: RouteRelation,
+        sources: Optional[Sequence[Coord]],
         sxb_outputs: Sequence[Channel] = (),
     ) -> None:
-        """Add a broadcast: its request leg as a tier-1 path flow (it is
-        path-shaped until the S-XB grant) and the whole tree for tiers 2/3."""
-        self.num_flows += 1
-        name = str(tree.flow)
-        info = _TreeInfo(tree, serialized)
-        self.trees.append(info)
-        for c in tree.channels():
-            self._note_channel(c)
-        if serialized and tree.serialize_entries:
-            # the pre-grant request phase is a path packet: chain edges up
-            # to the S-XB entry plus the barrier wait
-            for entry in tree.serialize_entries:
-                chain = list(reversed(tree.ancestors(entry))) + [entry]
-                for a, b in zip(chain, chain[1:]):
-                    self._add_succ(a, b, name + " request")
-                for o in sxb_outputs:
-                    self._add_succ(entry, o, name + " request @S-XB barrier")
-        else:
-            self.concurrent_trees = True
+        """Add the broadcasts from ``sources`` (every healthy node when
+        ``None``): each request leg as a tier-1 path flow (it is
+        path-shaped until the S-XB grant, and waits at the S-XB for
+        ``sxb_outputs``) and, for tiers 2/3, the whole tree -- or, for a
+        serialized leg that shares the S-XB spread, the leg's channels
+        and the spread's one :class:`_TreeInfo`."""
+        serialized = logic.config.broadcast_mode is BroadcastMode.SERIALIZED
+        self._relation = (topo, logic)
+        spreads: Dict[_Spread, _TreeInfo] = {}
+        for tree, spread in broadcast_legs(topo, logic, sources):
+            self.num_flows += 1
+            name = str(tree.flow)
+            if spread is not None and not serialized:
+                # a relation that serializes in the naive mode: its trees
+                # may be in flight together, so tier 3 needs them whole
+                tree, spread = spread.graft(tree), None
+            for c in tree.channels():
+                self._note_channel(c)
+            if spread is None:
+                self.trees.append(_TreeInfo.of_tree(tree, serialized))
+            else:
+                info = spreads.get(spread)
+                if info is None:
+                    pairs = [(o, None) for o in spread.outputs] + spread.parent
+                    for c, _ in pairs:
+                        self._note_channel(c)
+                    # the outputs, its roots, are granted atomically
+                    info = spreads[spread] = _TreeInfo("S-XB spread", pairs, set())
+                leg = tree.channels()[: -len(spread.outputs)]
+                self.trees.append(_Leg(tree.flow, {c.cid for c in leg}, info))
+            if serialized and tree.serialize_entries:
+                # the pre-grant request phase is a path packet: chain edges
+                # up to the S-XB entry plus the barrier wait
+                for entry in tree.serialize_entries:
+                    chain = list(reversed(tree.ancestors(entry))) + [entry]
+                    for a, b in zip(chain, chain[1:]):
+                        self._add_succ(a, b, name + " request")
+                    for o in sxb_outputs:
+                        self._add_succ(entry, o, name + " request @S-XB barrier")
+            else:
+                self.concurrent_trees = True
+
+    def _whole(self, tree: Union[_TreeInfo, _Leg]) -> _TreeInfo:
+        """A broadcast's :class:`_TreeInfo`, rebuilding a leg's whole tree."""
+        if not isinstance(tree, _Leg):
+            return tree
+        topo, logic = self._relation
+        return _TreeInfo.of_tree(compute_route(topo, logic, tree.flow), True)
 
     @property
     def num_edges(self) -> int:
@@ -287,9 +359,6 @@ class ChannelDependencyGraph:
     # --------------------------------------------------------- reachability
     def _reach_plus(self, start: int) -> Set[int]:
         """Channels reachable from ``start`` via >= 1 tier-1 edge."""
-        cached = self._reach_cache.get(start)
-        if cached is not None:
-            return cached
         seen: Set[int] = set()
         q = deque(self.succ.get(start, ()))
         seen.update(self.succ.get(start, ()))
@@ -299,7 +368,6 @@ class ChannelDependencyGraph:
                 if v not in seen:
                     seen.add(v)
                     q.append(v)
-        self._reach_cache[start] = seen
         return seen
 
     def _shortest_chain(self, start: int, goals: Set[int]) -> List[int]:
@@ -326,7 +394,6 @@ class ChannelDependencyGraph:
 
     # -------------------------------------------------------------- tiers
     def find_deadlock(self) -> CDGResult:
-        self._reach_cache.clear()  # edges may have been added since last time
         hazard = self._tier1() or self._tier2() or self._tier3()
         return CDGResult(
             deadlock_free=hazard is None,
@@ -346,43 +413,79 @@ class ChannelDependencyGraph:
             flows=tuple(sorted(self._edge_labels(zip(cyc, cyc[1:])))),
         )
 
+    def _scan(
+        self, info: _TreeInfo, legs: AbstractSet[int] = frozenset()
+    ) -> Tuple[Optional[Tuple[int, int]], Set[int]]:
+        """Tier 2 over one tree or spread, visiting each waitable channel
+        ``w`` once: the first ``(w, a)``, ``a`` in ``info``, with a
+        tier-1 chain ``w ->+ a`` and a state that holds ``a`` while ``w``
+        is pending; else ``None`` and the channels of ``legs`` that such
+        chains reach."""
+        reached: Set[int] = set()
+        for w in info.waitable:
+            reach = self._reach_plus(w)
+            for a in reach & info.cids:
+                if info.state_allows(held=a, waited=w):
+                    return (w, a), reached
+            reached |= reach & legs
+        return None, reached
+
     def _tier2(self) -> Optional[DeadlockHazard]:
-        for info in self.trees:
-            for w in info.waitable:
-                reach = self._reach_plus(w)
-                hits = reach & info.cids
-                if not hits:
+        # A leg's channels are ancestors of every channel of its spread, so
+        # no state holds a spread channel while a leg channel is pending;
+        # and a leg channel held while a later one of the same leg is
+        # pending would close a tier-1 cycle through the leg's request
+        # chain, which tier 1 has ruled out.  So a shared broadcast is
+        # hazardous iff its spread is, or a chain from a waitable spread
+        # channel reaches its leg: one scan of the spread serves them all.
+        legs: Dict[_TreeInfo, Set[int]] = {}
+        for t in self.trees:
+            if isinstance(t, _Leg):
+                legs.setdefault(t.spread, set()).update(t.cids)
+        scans: Dict[_TreeInfo, Tuple[Optional[Tuple[int, int]], Set[int]]] = {}
+        for t in self.trees:
+            if isinstance(t, _Leg):
+                if t.spread not in scans:
+                    scans[t.spread] = self._scan(t.spread, legs[t.spread])
+                inside, reached = scans[t.spread]
+                if inside is None and reached.isdisjoint(t.cids):
                     continue
-                for a in hits:
-                    if info.state_allows(held=a, waited=w):
-                        cids = self._shortest_chain(w, {a})
-                        labels = self._edge_labels(zip(cids, cids[1:]))
-                        flows = tuple(sorted({info.name} | labels))
-                        return DeadlockHazard(
-                            kind="tree-path-cycle",
-                            channels=tuple(self.channels[c] for c in cids),
-                            flows=flows,
-                        )
+            # the witness: the first hazardous tree, searched whole
+            info = self._whole(t)
+            hit, _ = self._scan(info)
+            if hit is not None:
+                w, a = hit
+                cids = self._shortest_chain(w, {a})
+                labels = self._edge_labels(zip(cids, cids[1:]))
+                return DeadlockHazard(
+                    kind="tree-path-cycle",
+                    channels=tuple(self.channels[c] for c in cids),
+                    flows=tuple(sorted({info.name} | labels)),
+                )
         return None
 
     def _tier3(self) -> Optional[DeadlockHazard]:
         if not self.concurrent_trees or len(self.trees) < 2:
             return None
+        trees = [self._whole(t) for t in self.trees]
         # meta-graph over (tree index, held channel); an edge means "tree i
         # blocked in a state holding a can wait for w whose tier-1 closure
         # reaches a' held by tree j"
         meta: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-        n = len(self.trees)
-        for i, ti in enumerate(self.trees):
+        closures: Dict[int, Set[int]] = {}
+        n = len(trees)
+        for i, ti in enumerate(trees):
             for a in ti.cids:
                 waits = [w for w in ti.waitable if ti.state_allows(a, w)]
                 targets: Set[Tuple[int, int]] = set()
                 for w in waits:
-                    closure = {w} | self._reach_plus(w)
+                    closure = closures.get(w)
+                    if closure is None:
+                        closure = closures[w] = {w} | self._reach_plus(w)
                     for j in range(n):
                         if j == i:
                             continue
-                        for a2 in closure & self.trees[j].cids:
+                        for a2 in closure & trees[j].cids:
                             targets.add((j, a2))
                 meta.extend(((i, a), t) for t in targets)
         cyc = find_vc_cycle(meta)
@@ -390,7 +493,7 @@ class ChannelDependencyGraph:
             return None
         states = cyc[:-1]
         chans = tuple(self.channels[a] for _, a in states)
-        flows = tuple(sorted({self.trees[i].name for i, _ in states}))
+        flows = tuple(sorted({trees[i].name for i, _ in states}))
         return DeadlockHazard(kind="multi-tree-cycle", channels=chans, flows=flows)
 
 
@@ -435,14 +538,7 @@ def build_cdg(
             pairs = unicast_pairs(topo, logic)
         cdg.add_unicasts(topo, logic, pairs, sxb_element, sxb_outputs)
     if include_broadcasts:
-        bc = route_all_broadcasts(topo, logic, sources=broadcast_sources)
-        for t in bc:
-            cdg.add_multicast_tree(
-                t,
-                serialized=serialized,
-                sxb_element=sxb_element,
-                sxb_outputs=sxb_outputs,
-            )
+        cdg.add_broadcasts(topo, logic, broadcast_sources, sxb_outputs)
     return cdg
 
 

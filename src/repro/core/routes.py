@@ -18,6 +18,7 @@ routing scheme provides one via
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple, Union
@@ -174,8 +175,8 @@ def compute_route(
 class _RouteWalk:
     """The breadth-first expansion behind :func:`compute_route`, resumable:
     ``run(until_serialize=True)`` returns right after the first serialized
-    (S-XB) decision has been applied, so :func:`route_all_broadcasts` can
-    walk a broadcast's request leg alone."""
+    (S-XB) decision has been applied, so :func:`broadcast_legs` can walk a
+    broadcast's request leg alone."""
 
     def __init__(
         self,
@@ -240,60 +241,105 @@ class _RouteWalk:
                     return decision
         return None
 
+    def fork(self) -> "_RouteWalk":
+        """A copy of this walk that runs on without touching it."""
+        twin = copy.copy(self)
+        twin.tree = _copy_tree(self.tree)
+        twin.frontier = deque(self.frontier)
+        return twin
+
+
+def _copy_tree(tree: RouteTree) -> RouteTree:
+    """A route tree sharing no container with ``tree``."""
+    return RouteTree(
+        flow=tree.flow,
+        root=tree.root,
+        parent=dict(tree.parent),
+        children={c: list(kids) for c, kids in tree.children.items()},
+        rc_on=dict(tree.rc_on),
+        serialize_entries=list(tree.serialize_entries),
+        delivered=set(tree.delivered),
+        dropped_at=list(tree.dropped_at),
+    )
+
+
+def _stopped_on_a_path(walk: _RouteWalk, decision: Optional[Decision]) -> bool:
+    """True when ``walk`` stopped at an S-XB decision with one path of
+    channels behind it: no other branch, finished or pending."""
+    if decision is None:
+        return False
+    tree = walk.tree
+    entry = tree.serialize_entries[0]
+    return len(tree.parent) == (
+        len(tree.ancestors(entry)) + 1 + len(decision.outputs)
+    )
+
 
 class _Spread:
     """What a broadcast walk does after its S-XB decision, walked once and
-    grafted under every later source's request leg (see
-    :func:`route_all_broadcasts`)."""
+    shared by every source whose request leg ends in the same decision
+    (see :func:`broadcast_legs`)."""
 
     def __init__(self, walk: _RouteWalk, decision: Decision) -> None:
-        """Finish ``walk``, stopped at its S-XB ``decision``, recording
-        what followed that decision."""
+        """Finish ``walk``, stopped at its S-XB ``decision`` on a path,
+        recording what followed that decision."""
         tree = walk.tree
         leg_end, leg_steps = len(tree.parent), walk.steps
-        leg_dropped, leg_delivered = len(tree.dropped_at), set(tree.delivered)
         walk.run()
         chans = list(tree.parent)
         self.decision = decision
         self.sxb = tree.serialize_entries[0].dst
         self.steps = walk.steps - leg_steps
-        #: channels below the S-XB outputs, and the spread's dict entries as
-        #: (channel, value) pairs in insertion order (``children`` from the
-        #: S-XB outputs on: they are re-parented, not added)
+        #: the S-XB outputs (parented on each leg's entry channel), the
+        #: channels below them, and the spread's dict entries as (channel,
+        #: value) pairs in insertion order (``children`` from the S-XB
+        #: outputs on: they are re-parented, not added)
+        self.outputs = chans[leg_end - len(decision.outputs):leg_end]
         self.below = chans[leg_end:]
+        self.below_set = frozenset(self.below)
         self.parent = [(c, tree.parent[c]) for c in self.below]
-        self.children = [
-            (c, tree.children[c])
-            for c in chans[leg_end - len(decision.outputs):]
-        ]
+        self.children = [(c, tree.children[c]) for c in self.outputs + self.below]
         self.rc_on = [(c, tree.rc_on[c]) for c in self.below]
         self.serialize_entries = tree.serialize_entries[1:]
-        self.delivered = tree.delivered - leg_delivered
-        self.dropped_at = tree.dropped_at[leg_dropped:]
+        # a path leg delivers nothing and drops nothing
+        self.delivered = tree.delivered
+        self.dropped_at = tree.dropped_at
 
-    def graft(self, walk: _RouteWalk, decision: Decision) -> None:
-        """Finish ``walk``, stopped at its S-XB decision, with a copy of the
-        spread; leave it untouched when that decision differs."""
+    def shares(self, walk: _RouteWalk, decision: Decision) -> bool:
+        """True when ``walk``, stopped at its S-XB ``decision`` on a path,
+        goes on exactly as the spread: the same decision at the same S-XB,
+        and no further S-XB below it, so the spread is the same channels
+        under every leg.  Raises what :func:`compute_route` would when the
+        leg holds a spread channel or leg plus spread exceed the step
+        limit."""
         tree = walk.tree
-        if decision != self.decision or tree.serialize_entries[0].dst != self.sxb:
-            return
-        if not tree.parent.keys().isdisjoint(self.below):
+        if (
+            decision != self.decision
+            or tree.serialize_entries[0].dst != self.sxb
+            or self.serialize_entries
+        ):
+            return False
+        if not self.below_set.isdisjoint(tree.parent):
             c = next(c for c in self.below if c in tree.parent)
             raise RouteLoopError(
                 f"flow {tree.flow} revisited channel {c}; routing loop"
             )
-        walk.steps += self.steps
-        if walk.steps > walk.limit:
+        if walk.steps + self.steps > walk.limit:
             raise RouteLoopError(
                 f"flow {tree.flow} exceeded {walk.limit} routing steps; livelock?"
             )
+        return True
+
+    def graft(self, leg: RouteTree) -> RouteTree:
+        """The whole tree of a ``leg`` that shares the spread: a copy of
+        the leg with the spread below its S-XB entry."""
+        tree = _copy_tree(leg)
         tree.parent.update(self.parent)
         tree.children.update([(c, list(kids)) for c, kids in self.children])
         tree.rc_on.update(self.rc_on)
-        tree.serialize_entries.extend(self.serialize_entries)
         tree.delivered.update(self.delivered)
         tree.dropped_at.extend(self.dropped_at)
-        walk.frontier.clear()
+        return tree
 
 
 def walk_unicast_states(
@@ -375,27 +421,32 @@ def route_all_unicasts(
     ]
 
 
-def route_all_broadcasts(
+def broadcast_legs(
     topo: Topology,
     logic: RouteRelation,
     sources: Optional[Sequence[Coord]] = None,
-) -> List[RouteTree]:
-    """Broadcast route trees from every healthy source (or a subset).
+) -> List[Tuple[RouteTree, Optional[_Spread]]]:
+    """The broadcasts from every healthy source (or a subset), each as a
+    ``(tree, spread)`` pair: a request leg and the one spread it shares,
+    or a whole tree and ``None``.
 
     Broadcast is the paper facility's feature, so ``logic`` must carry a
     :class:`~repro.core.config.RoutingConfig` (``SwitchLogic`` does).
 
-    Each tree equals :func:`compute_route`'s, field for field and in dict
-    order.  Under the serialized facility a tree is the source's request
-    leg (a path) plus the S-XB spread: the S-XB decision does not read the
-    input port and no spread decision reads the header beyond its RC, so
-    the spread is the same for every source.  The first tree is walked in
-    full; every later source walks its leg, S-XB decision included, and
-    takes a copy of the first spread when that decision is the same and
-    nothing else is pending (otherwise it is walked in full) -- with
-    ``check_deliverable`` per source, :class:`RouteLoopError` when the leg
-    meets a spread channel and the step limit counted over leg plus
-    spread, as :func:`compute_route` would.
+    Under the serialized facility a tree is the source's request leg (a
+    path) plus the S-XB spread: the S-XB decision does not read the input
+    port and no spread decision reads the header beyond its RC, so the
+    spread is the same for every source.  Every source walks its leg up to
+    and including its S-XB decision; the first leg that ends on a path has
+    the rest of its walk recorded once as the spread, and every leg that
+    ends on a path in the same decision is returned as it stopped (a path
+    :class:`RouteTree` holding the S-XB outputs as leaves) with a
+    reference to that spread.  Any other walk is finished and returned
+    whole.  ``spread.graft(leg)`` equals :func:`compute_route`'s tree,
+    field for field and in dict order; the checks are
+    :func:`compute_route`'s: ``check_deliverable`` per source,
+    :class:`RouteLoopError` when the leg meets a spread channel and the
+    step limit counted over leg plus spread.
     """
     from .config import BroadcastMode
 
@@ -407,17 +458,32 @@ def route_all_broadcasts(
     dead = set(relation_dead_nodes(logic))
     nodes = [c for c in topo.node_coords() if c not in dead]
     srcs = [c for c in (sources if sources is not None else nodes) if c not in dead]
-    trees: List[RouteTree] = []
+    legs: List[Tuple[RouteTree, Optional[_Spread]]] = []
     spread: Optional[_Spread] = None
     for s in srcs:
         walk = _RouteWalk(topo, logic, Broadcast(s, rc0))
         decision = walk.run(until_serialize=True)
-        # shareable only when nothing but the S-XB's outputs is pending
-        if decision is not None and len(walk.frontier) == len(decision.outputs):
+        if _stopped_on_a_path(walk, decision):
             if spread is None:
-                spread = _Spread(walk, decision)
-            else:
-                spread.graft(walk, decision)
-        walk.run()  # a no-op unless no spread was taken
-        trees.append(walk.tree)
-    return trees
+                spread = _Spread(walk.fork(), decision)
+            if spread.shares(walk, decision):
+                legs.append((walk.tree, spread))
+                continue
+        walk.run()
+        legs.append((walk.tree, None))
+    return legs
+
+
+def route_all_broadcasts(
+    topo: Topology,
+    logic: RouteRelation,
+    sources: Optional[Sequence[Coord]] = None,
+) -> List[RouteTree]:
+    """Broadcast route trees from every healthy source (or a subset): the
+    :func:`broadcast_legs` with every shared spread grafted back on.
+    Each tree equals :func:`compute_route`'s, field for field and in dict
+    order."""
+    return [
+        tree if spread is None else spread.graft(tree)
+        for tree, spread in broadcast_legs(topo, logic, sources)
+    ]

@@ -7,10 +7,25 @@ The 4x3 network matches the paper's running example (Figs. 2 and 5-10);
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Fault, SwitchLogic, make_config
 from repro.core.config import BroadcastMode, DetourScheme
 from repro.topology import MDCrossbar
+
+#: ``pytest --hypothesis-profile=thorough`` runs ten times the examples of
+#: every law sized by :func:`examples` or left at hypothesis' default
+THOROUGH = 10
+settings.register_profile(
+    "thorough", max_examples=THOROUGH * settings.default.max_examples
+)
+
+
+def examples(n: int) -> int:
+    """A law's example count: ``n``, sized for the tier-1 wall, or
+    ``THOROUGH * n`` under the ``thorough`` profile."""
+    thorough = settings.get_current_profile_name() == "thorough"
+    return THOROUGH * n if thorough else n
 
 
 @pytest.fixture(scope="session")
