@@ -15,8 +15,9 @@ edges form the classic CDG; we also add the S-XB *barrier* edges: the S-XB
 serves arrivals drain-then-serve (a pending broadcast reserves the whole
 crossbar), so the channel entering the S-XB may wait for every S-XB output
 channel.  A cycle here is a unicast-style deadlock hazard.  The
-point-to-point edges come from walking the relation once per destination
-(:func:`~repro.core.routes.walk_unicast_states`), not from per-flow trees.
+point-to-point edges come from walking the relation once per destination,
+a chunk of destinations at a time in arrays
+(:func:`~repro.core.routes.unicast_hops`), not from per-flow trees.
 
 **Tier 2 -- one multicast against path packets.**  A spreading broadcast
 holds a *prefix-closed* subset ``A`` of its route tree ``T`` and waits for
@@ -78,8 +79,8 @@ from .routes import (
     _Spread,
     broadcast_legs,
     compute_route,
+    unicast_hops,
     unicast_pairs,
-    walk_unicast_states,
 )
 
 
@@ -250,24 +251,34 @@ class ChannelDependencyGraph:
         self,
         topo: Topology,
         logic: RouteRelation,
-        pairs: Sequence[Tuple[Coord, Coord]],
+        pairs: Optional[Sequence[Tuple[Coord, Coord]]] = None,
         sxb_element: Optional[ElementId] = None,
         sxb_outputs: Sequence[Channel] = (),
     ) -> None:
         """Add the tier-1 edges (plus barrier edges) of point-to-point
-        ``pairs``, walking the relation once per destination."""
-        self.num_flows += len(pairs)
+        ``pairs`` (every healthy pair when ``None``), walking the relation
+        once per destination (:func:`~repro.core.routes.unicast_hops`)."""
+        flows, cids, hops = unicast_hops(topo, logic, pairs)
+        self.num_flows += flows
         self._unicasts.append((topo, logic, pairs, sxb_element, sxb_outputs))
+        chans = topo.channels()
         channels, succ = self.channels, self.succ
-        for chan, nexts in walk_unicast_states(topo, logic, pairs):
-            channels[chan.cid] = chan
-            if chan.dst == sxb_element:
-                nexts = [*nexts, *sxb_outputs]
-            if nexts:
-                waits = succ.setdefault(chan.cid, set())
-                for o in nexts:
-                    channels[o.cid] = o
-                    waits.add(o.cid)
+        for cid in cids:
+            channels[cid] = chans[cid]
+        entries = () if sxb_element is None else set(cids).intersection(
+            c.cid for c in topo.channels_to(sxb_element)
+        )
+        if entries and sxb_outputs:
+            # every held channel into the S-XB waits for all its outputs
+            hops = sorted(
+                set(hops).union((e, o.cid) for e in entries for o in sxb_outputs)
+            )
+            for o in sxb_outputs:
+                channels[o.cid] = o
+        # sorted (u, v) order, so a set's iteration order does not depend
+        # on the walk's
+        for u, v in hops:
+            succ.setdefault(u, set()).add(v)
 
     def _edge_labels(self, edges: Iterable[Tuple[int, int]]) -> Set[str]:
         """Witness labels of tier-1 ``edges``, filling ``edge_flows`` for
@@ -282,6 +293,8 @@ class ChannelDependencyGraph:
                 self.edge_flows[(u.cid, v.cid)] = label
 
         for topo, logic, pairs, sxb_element, sxb_outputs in self._unicasts:
+            if pairs is None:
+                pairs = unicast_pairs(topo, logic)
             for source, dest in pairs:
                 if not wanted:
                     break
@@ -532,10 +545,11 @@ def build_cdg(
     )
 
     if include_unicasts:
-        if unicast_flows is not None:
-            pairs = [(f.source, f.dest) for f in unicast_flows]
-        else:
-            pairs = unicast_pairs(topo, logic)
+        pairs = (
+            None
+            if unicast_flows is None
+            else [(f.source, f.dest) for f in unicast_flows]
+        )
         cdg.add_unicasts(topo, logic, pairs, sxb_element, sxb_outputs)
     if include_broadcasts:
         cdg.add_broadcasts(topo, logic, broadcast_sources, sxb_outputs)

@@ -28,8 +28,9 @@ entirely different computation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..topology.base import Channel
 from ..topology.mdcrossbar import MDCrossbar
@@ -87,23 +88,24 @@ def build_certificate(
     cyclic (the configuration is not certifiably deadlock free -- e.g. the
     naive detour scheme with broadcasts).
     """
-    # the only networkx user: keep its ~0.13 s import off `import repro`
-    import networkx as nx
-
     uni, bc, serialized, sxb_outputs = _gather(topo, logic)
     if not serialized and bc:
         raise CertificateError(
             "the naive broadcast mode has no serialization argument; no "
             "ordering certificate exists (see the Fig. 5 deadlock)"
         )
-    g = nx.DiGraph()
+    succ: Dict[int, Set[int]] = {}
     atomic: Set[int] = set()
     barrier = [c.cid for c in sxb_outputs]
+
+    def add_edge(a: int, b: int) -> None:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
 
     def add_chain(chain: Sequence[Channel]) -> None:
         for a, b in zip(chain, chain[1:]):
             if a.cid != b.cid:
-                g.add_edge(a.cid, b.cid)
+                add_edge(a.cid, b.cid)
 
     for tree in uni:
         chain = tree.path_to(tree.flow.dest)
@@ -112,7 +114,7 @@ def build_certificate(
             if c.dst == logic.config.sxb_element and barrier:
                 for w in barrier:
                     if w != c.cid:
-                        g.add_edge(c.cid, w)
+                        add_edge(c.cid, w)
     for tree in bc:
         # request chain (pre-grant phase)
         for entry in tree.serialize_entries:
@@ -120,25 +122,19 @@ def build_certificate(
             add_chain(chain)
             for w in barrier:
                 if w != entry.cid:
-                    g.add_edge(entry.cid, w)
+                    add_edge(entry.cid, w)
             atomic.update(ch.cid for ch in tree.children[entry])
         # spread tree: parent->child edges except into the atomic grant set
         for c in tree.channels():
             for child in tree.children[c]:
                 if child.cid not in atomic and c.cid != child.cid:
-                    g.add_edge(c.cid, child.cid)
+                    add_edge(c.cid, child.cid)
 
     # atomic channels still need *some* rank; order them after their parent
     # (the entry) by keeping the parent->atomic edges implicit: give them
     # edges from every entry channel so the topological sort places them
     # consistently.
-    try:
-        order = list(nx.topological_sort(g))
-    except nx.NetworkXUnfeasible:
-        raise CertificateError(
-            "tier-1 dependency graph is cyclic: no channel ordering exists "
-            "for this configuration"
-        ) from None
+    order = _topological_order(succ)
     # include channels never seen in any flow at the end
     seen = set(order)
     tail = [c.cid for c in topo.channels() if c.cid not in seen]
@@ -146,6 +142,32 @@ def build_certificate(
     cert = OrderingCertificate(rank=rank, atomic=atomic)
     verify_certificate(topo, logic, cert)
     return cert
+
+
+def _topological_order(succ: Dict[int, Set[int]]) -> List[int]:
+    """The channels of ``succ`` in dependency order, by Kahn's algorithm
+    over a sorted ready-heap (the smallest ready cid goes first, so the
+    ranking is deterministic); :class:`CertificateError` on a cycle."""
+    indeg = dict.fromkeys(succ, 0)
+    for vs in succ.values():
+        for v in vs:
+            indeg[v] += 1
+    ready = [u for u, n in indeg.items() if n == 0]
+    heapq.heapify(ready)
+    order: List[int] = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) < len(succ):
+        raise CertificateError(
+            "tier-1 dependency graph is cyclic: no channel ordering exists "
+            "for this configuration"
+        )
+    return order
 
 
 def verify_certificate(

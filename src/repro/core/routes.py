@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from ..topology.base import Channel, ElementId, element_kind, ElementKind, Topology
 from .coords import Coord
@@ -342,56 +342,335 @@ class _Spread:
         return tree
 
 
-def walk_unicast_states(
+def unicast_hops(
     topo: Topology,
     logic: RouteRelation,
-    pairs: Iterable[Tuple[Coord, Coord]],
-) -> Iterator[Tuple[Channel, List[Channel]]]:
-    """Expand the routing relation of point-to-point ``pairs`` once per
-    destination, yielding ``(channel, output channels)`` per switch decision.
+    pairs: Optional[Sequence[Tuple[Coord, Coord]]] = None,
+):
+    """Walk the routing relation of point-to-point ``pairs`` (every
+    healthy pair when ``None``) once per destination, a chunk of
+    destinations at a time in lockstep.  Returns ``(flows, cids, hops)``:
+    the number of pairs, the sorted ids of the channels the flows hold,
+    and the sorted distinct ``(cid, next cid)`` hops -- the union of the
+    flows' route-tree edges.
 
     A decision depends on ``(element, input, dest, rc)`` only (no relation
     reads ``header.source``), so flows to one destination share every
-    ``(channel, rc)`` state from where they merge; each state is decided
-    once, and the yielded hops are the union of those flows' route-tree
-    edges.  Makes the checks :func:`compute_route` makes:
-    ``check_deliverable`` per pair, :class:`RouteLoopError` when a source's
-    walk re-enters a state it opened itself (merging into an earlier
-    source's state is not a loop), :class:`RoutingError` from the relation.
+    ``(dest, cid, rc)`` state from where they merge, and each state is
+    expanded once.  The checks are :func:`compute_route`'s:
+    ``check_deliverable`` (a dead-node mask; a hit calls it on the first
+    failing pair, so the relation raises its own exception),
+    :class:`RouteLoopError` when some destination's reachable state graph
+    has a cycle (raised by :func:`compute_route` on the first looping
+    flow), and :class:`RoutingError` from the relation.
     """
-    by_dest: Dict[Coord, List[Coord]] = {}
-    for source, dest in pairs:
-        logic.check_deliverable(source, dest)
-        by_dest.setdefault(dest, []).append(source)
-    for dest, sources in by_dest.items():
-        headers = {rc: Header(source=sources[0], dest=dest, rc=rc) for rc in RC}
-        # (cid, rc) state -> index of the source whose walk opened it
-        opened_by: Dict[Tuple[int, RC], int] = {}
-        for walk, source in enumerate(sources):
-            stack = [(topo.injection_channel(source), RC.NORMAL)]
-            while stack:
-                chan, rc = stack.pop()
-                state = (chan.cid, rc)
-                if state in opened_by:
-                    if opened_by[state] == walk:
-                        raise RouteLoopError(
-                            f"flow {Unicast(source, dest)} revisited channel "
-                            f"{chan}; routing loop"
-                        )
-                    continue  # merged into an earlier source's route
-                opened_by[state] = walk
-                el = chan.dst
-                if element_kind(el) is ElementKind.PE:
-                    continue
-                decision = logic.decide(el, chan.src, headers[rc])
-                outs = (
-                    []
-                    if decision.drop
-                    else [topo.channel(el, o) for o in decision.outputs]
+    import numpy as np
+
+    walk = _HopWalk(np, topo, logic, pairs)
+    for lo in range(0, len(walk.dests), walk.width):
+        walk.walk(walk.dests[lo:lo + walk.width])
+    return walk.flows, np.flatnonzero(walk.held).tolist(), walk.hops()
+
+
+#: states one chunk of :class:`_HopWalk` addresses (its ``local`` array):
+#: 8 destinations of 16x16x8 at a time, every destination of 6x6
+_CHUNK_STATES = 1 << 19
+#: :class:`_HopWalk` table entries: not filled yet, decided state by
+#: state, or a decision with no output; a filled entry is
+#: ``next cid * len(RC) + next rc``
+_UNFILLED, _SCALAR, _NO_OUTPUT = -1, -2, -3
+
+
+class _HopWalk:
+    """The array walk behind :func:`unicast_hops`.
+
+    A state is ``(dest, cid, rc)``: a packet for ``dest`` that holds
+    channel ``cid`` with RC bit ``rc``.  One step of every state of a
+    chunk is a table lookup: the next state is ``out[el, rc, sel]``,
+    ``el`` the element the channel enters and ``sel`` the part of the
+    destination its rule reads (:meth:`selectors`, DESIGN.md 5l).  An
+    entry is filled from the first state that reaches it, by one
+    ``decision_key`` + ``decide`` call (:meth:`fill`).  It is decided
+    state by state instead (:meth:`scalar`) when the key is ``None`` or
+    names the input port, when the decision has more than one output, or
+    when the relation has no ``decision_key``.
+    """
+
+    def __init__(self, np, topo: Topology, logic: RouteRelation, pairs) -> None:
+        self.np, self.topo, self.logic, self.pairs = np, topo, logic, pairs
+        self.R = R = len(RC)
+        self.elements = elements = topo.elements()
+        index = {el: i for i, el in enumerate(elements)}
+        self.chans = chans = topo.channels()
+        self.C = C = len(chans)
+        self.dst = np.fromiter((index[c.dst] for c in chans), np.int64, C)
+        self.is_pe = np.array([el[0] == "PE" for el in elements])
+        self.nodes = nodes = topo.node_coords()
+        node_of = {c: i for i, c in enumerate(nodes)}
+        self.inj = np.array(
+            [topo.injection_channel(c).cid for c in nodes], np.int64
+        )
+        dead = np.zeros(len(nodes), bool)
+        dead[[node_of[c] for c in relation_dead_nodes(logic)]] = True
+
+        # the source of a destination's first pair heads its walk's headers
+        self.first_source = np.zeros(len(nodes), np.int64)
+        if pairs is None:
+            self.live = live = np.flatnonzero(~dead)
+            self.flows = len(live) * (len(live) - 1)
+            self.dests = live
+            if len(live) > 1:
+                self.first_source[live] = live[0]
+                self.first_source[live[0]] = live[1]
+        else:
+            self.flows = len(pairs)
+            self.s_idx = np.array([node_of[s] for s, _ in pairs], np.int64)
+            self.t_idx = np.array([node_of[t] for _, t in pairs], np.int64)
+            bad = np.flatnonzero(dead[self.s_idx] | dead[self.t_idx])
+            if bad.size:
+                logic.check_deliverable(*pairs[bad[0]])
+            _, first = np.unique(self.t_idx, return_index=True)
+            first.sort()
+            self.dests = self.t_idx[first]  # in order of first appearance
+            self.first_source[self.dests] = self.s_idx[first]
+
+        self.key_of = getattr(logic, "decision_key", None)
+        self.S = 1
+        if self.key_of is not None:
+            cfg = logic.config
+            self.order = list(cfg.order)
+            self.rtr_rows = np.array(
+                [i for i, el in enumerate(elements) if el[0] == "RTR"], np.int64
+            )
+            self.xb_rows = np.array(
+                [i for i, el in enumerate(elements) if el[0] == "XB"], np.int64
+            )
+            self.rtr_coord = np.array(
+                [elements[i][1] for i in self.rtr_rows], np.int64
+            ).reshape(len(self.rtr_rows), len(self.order))
+            self.xb_dim = np.array(
+                [elements[i][1] for i in self.xb_rows], np.int64
+            )
+            self.dxb = index[cfg.dxb_element]
+            self.S = max(len(self.order) + 1, *topo.shape)
+        empty = _SCALAR if self.key_of is None else _UNFILLED
+        self.tab = np.full(len(elements) * R * self.S, empty, np.int64)
+        self.headers: Dict[Tuple[int, int], Header] = {}
+        self.width = max(1, min(len(self.dests), _CHUNK_STATES // (C * R)))
+        #: state -> its discovery index in the chunk being walked, or -1
+        self.local = np.full(self.width * C * R, -1, np.int32)
+        self.held = np.zeros(C, bool)
+        #: ``cid * R * S + rc * S + sel``: a tabled step left channel
+        #: ``cid`` through table entry ``(dst(cid), rc, sel)``
+        self.left = np.zeros(C * R * self.S, bool)
+        #: ``(cid, next cid)`` hops of the states decided one by one
+        self.scalar_hops: List[Tuple[int, int]] = []
+        #: states discovered so far in the chunk being walked
+        self.n = 0
+
+    def header(self, t: int, rc: int) -> Header:
+        """The header of destination node ``t``'s walk under ``rc``."""
+        h = self.headers.get((t, rc))
+        if h is None:
+            h = self.headers[(t, rc)] = Header(
+                source=self.nodes[self.first_source[t]],
+                dest=self.nodes[t],
+                rc=RC(rc),
+            )
+        return h
+
+    def fill(self, t: int, cid: int, rc: int) -> int:
+        """The table entry of destination node ``t``'s state ``(cid, rc)``,
+        from the relation."""
+        chan = self.chans[cid]
+        el, in_from = chan.dst, chan.src
+        h = self.header(t, rc)
+        key = self.key_of(el, in_from, h)
+        decision = self.logic.decide(el, in_from, h)
+        if key is None or in_from in key or len(decision.outputs) > 1:
+            return _SCALAR  # the table cannot tell these states apart
+        if decision.drop or not decision.outputs:
+            return _NO_OUTPUT
+        out = self.topo.channel(el, decision.outputs[0])
+        return out.cid * self.R + decision.rc
+
+    def scalar(self, t: int, cid: int, rc: int) -> List[Tuple[int, int]]:
+        """The ``(next cid, next rc)`` states of destination node ``t``'s
+        state ``(cid, rc)``, decided by the relation itself."""
+        chan = self.chans[cid]
+        el = chan.dst
+        decision = self.logic.decide(el, chan.src, self.header(t, rc))
+        if decision.drop:
+            return []
+        outs = [self.topo.channel(el, o).cid for o in decision.outputs]
+        self.scalar_hops.extend((cid, o) for o in outs)
+        return [(o, int(decision.rc)) for o in outs]
+
+    def selectors(self, chunk):
+        """``sel`` per (element, chunk destination), flat: a router reads
+        the position of the first dimension, in routing order, where it
+        differs from the destination (d: deliver); a crossbar reads the
+        destination's coordinate in its dimension."""
+        np, order = self.np, self.order
+        tc = np.array([self.nodes[t] for t in chunk], np.int64)
+        tc = tc.reshape(len(chunk), len(order))
+        sel = np.zeros((len(self.elements), len(chunk)), np.int64)
+        diff = self.rtr_coord[:, None, order] != tc[None, :, order]
+        sel[self.rtr_rows] = np.where(diff.any(2), diff.argmax(2), len(order))
+        sel[self.xb_rows] = tc[:, self.xb_dim].T
+        return sel.ravel()
+
+    def entries(self, sel_of, width: int, e, t, rc):
+        """Table index ``(el * len(RC) + rc) * S + sel`` of the states of
+        chunk-local destinations ``t`` entering elements ``e`` under
+        ``rc``; ``sel_of`` is the :meth:`selectors` of a chunk ``width``
+        destinations wide.  Only routers and crossbars in NORMAL, and the
+        D-XB in DETOUR, read their ``sel``; every other rule reads 0."""
+        k = e * self.R + rc
+        if sel_of is None:
+            return k
+        sel = sel_of[e * width + t]
+        sel[(rc != RC.NORMAL) & ((rc != RC.DETOUR) | (e != self.dxb))] = 0
+        return k * self.S + sel
+
+    def roots(self, chunk):
+        """Chunk-local destination and source node of every pair to
+        ``chunk``."""
+        np = self.np
+        if self.pairs is None:
+            t = np.repeat(np.arange(len(chunk)), len(self.live))
+            s = np.tile(self.live, len(chunk))
+            keep = s != chunk[t]
+            return t[keep], s[keep]
+        pos = np.full(len(self.nodes), -1, np.int64)
+        pos[chunk] = np.arange(len(chunk))
+        mine = pos[self.t_idx] >= 0
+        return pos[self.t_idx[mine]], self.s_idx[mine]
+
+    def walk(self, chunk) -> None:
+        """Expand every state the pairs to ``chunk`` reach, recording the
+        held channels and the hops; raise on a routing loop."""
+        np, C, R, S = self.np, self.C, self.R, self.S
+        dst, is_pe, tab, local = self.dst, self.is_pe, self.tab, self.local
+        sel_of = None if self.key_of is None else self.selectors(chunk)
+        t, s = self.roots(chunk)
+        cid = self.inj[s]
+        rc = np.full(t.size, RC.NORMAL, np.int64)
+        sid = (t * C + cid) * R + rc
+        self.n = 0
+        first = self.claim(sid)
+        t, cid, rc, sid = t[first], cid[first], rc[first], sid[first]
+        visited, arcs_from, arcs_to = [sid], [], []
+        while t.size:
+            self.held[cid] = True
+            e = dst[cid]
+            go = ~is_pe[e]
+            t, cid, rc, sid, e = t[go], cid[go], rc[go], sid[go], e[go]
+            k = self.entries(sel_of, len(chunk), e, t, rc)
+            out = tab[k]
+            todo = np.flatnonzero(out == _UNFILLED)
+            if todo.size:
+                # one state per empty entry: the one whose mark stays
+                mark = -4 - np.arange(todo.size)
+                tab[k[todo]] = mark
+                p = todo[tab[k[todo]] == mark]
+                ks = k[p]
+                tab[ks] = [
+                    self.fill(*state)
+                    for state in zip(
+                        chunk[t[p]].tolist(), cid[p].tolist(), rc[p].tolist()
+                    )
+                ]
+                out = tab[k]
+            step = np.flatnonzero(out >= 0)
+            self.left[(cid * (R * S) + k % (R * S))[step]] = True
+            nt, ncid, nrc = t[step], out[step] // R, out[step] % R
+            frm = local[sid[step]]
+            by_hand = np.flatnonzero(out == _SCALAR)
+            if by_hand.size:
+                states = zip(
+                    chunk[t[by_hand]].tolist(),
+                    cid[by_hand].tolist(),
+                    rc[by_hand].tolist(),
                 )
-                yield chan, outs
-                for out in outs:
-                    stack.append((out, decision.rc))
+                more = [
+                    (p, *nxt)
+                    for p, state in zip(by_hand.tolist(), states)
+                    for nxt in self.scalar(*state)
+                ]
+                if more:
+                    p, oc, orc = np.array(more, np.int64).T
+                    nt = np.concatenate([nt, t[p]])
+                    ncid = np.concatenate([ncid, oc])
+                    nrc = np.concatenate([nrc, orc])
+                    frm = np.concatenate([frm, local[sid[p]]])
+            nsid = (nt * C + ncid) * R + nrc
+            first = self.claim(nsid)
+            arcs_from.append(frm)
+            arcs_to.append(local[nsid])
+            t, cid, rc, sid = nt[first], ncid[first], nrc[first], nsid[first]
+            visited.append(sid)
+        cyclic = arcs_from and _cyclic(
+            np, self.n, np.concatenate(arcs_from), np.concatenate(arcs_to)
+        )
+        local[np.concatenate(visited)] = -1
+        if cyclic:
+            self.raise_loop(chunk)
+
+    def claim(self, sid):
+        """Give every state of ``sid`` not seen before in this chunk the
+        next discovery index; return the positions in ``sid`` of those
+        states, one per state."""
+        np, local = self.np, self.local
+        new = np.flatnonzero(local[sid] < 0)
+        # of the copies of one new state, the one whose mark stays wins
+        mark = -2 - np.arange(new.size)
+        local[sid[new]] = mark
+        new = new[local[sid[new]] == mark]
+        local[sid[new]] = np.arange(self.n, self.n + new.size)
+        self.n += new.size
+        return new
+
+    def raise_loop(self, chunk) -> None:
+        """Replay the flows to ``chunk`` in order: the first looping one
+        raises :func:`compute_route`'s error, naming the flow and the
+        channel."""
+        for t in chunk.tolist():
+            if self.pairs is None:
+                srcs = self.live[self.live != t]
+            else:
+                srcs = self.s_idx[self.t_idx == t]
+            for s in srcs.tolist():
+                compute_route(
+                    self.topo, self.logic, Unicast(self.nodes[s], self.nodes[t])
+                )
+        raise RouteLoopError(  # pragma: no cover - compute_route raised
+            f"the routes to {[self.nodes[t] for t in chunk]} loop"
+        )
+
+    def hops(self) -> List[Tuple[int, int]]:
+        """The sorted distinct ``(cid, next cid)`` hops walked so far."""
+        R, S = self.R, self.S
+        left = self.np.flatnonzero(self.left)
+        cid = left // (R * S)
+        nxt = self.tab[self.dst[cid] * (R * S) + left % (R * S)] // R
+        return sorted(set(zip(cid.tolist(), nxt.tolist())).union(self.scalar_hops))
+
+
+def _cyclic(np, n: int, frm, to) -> bool:
+    """True when the ``n``-state graph with arcs ``frm -> to`` has a
+    cycle, i.e. Kahn's algorithm cannot peel every state.  Which source
+    reached a state first plays no part.  One round peels every state
+    whose in-arcs all come from peeled states, so the rounds are as many
+    as the longest route is long."""
+    indeg = np.bincount(to, minlength=n)
+    peeled = np.zeros(n, bool)
+    ready = indeg == 0
+    while ready.any():
+        peeled |= ready
+        indeg -= np.bincount(to[ready[frm]], minlength=n)
+        ready = (indeg == 0) & ~peeled
+    return not peeled.all()
 
 
 def unicast_pairs(

@@ -23,13 +23,16 @@ from repro.core import (
     route_all_broadcasts,
     route_all_unicasts,
 )
+from repro.core import SwitchLogic, make_config
+from repro.core.cdg import ChannelDependencyGraph
 from repro.core.config import BroadcastMode, ConfigError, DetourScheme
 from repro.core.multifault import all_single_faults
 from repro.core.packet import RC
 from repro.core.routes import RouteLoopError, Unicast, unicast_pairs
-from repro.core.switch_logic import Decision, UnreachableDestinationError
-from repro.topology import MDCrossbar, rtr
+from repro.core.switch_logic import Decision, RoutingError, UnreachableDestinationError
+from repro.topology import MDCrossbar, pe, rtr, xb
 from tests.conftest import make_logic
+from tests.properties.test_cdg_properties import reference_add_unicasts
 
 #: certificates recorded before the decision cache and the shared S-XB
 #: spread were written (see :class:`TestCertificateGolden`)
@@ -193,6 +196,94 @@ class _LoopingRelation:
         return Decision(outputs=(rtr(((x + 1) % 2, *rest)),), rc=RC.NORMAL)
 
 
+class _RingRelation:
+    """Stub relation on 4x3: routers of row 0 enter their row crossbar,
+    which passes a packet from router x to router (x + 1) mod 3 of the
+    row; routers of the other rows drop into row 0 through their column
+    crossbar.  Every packet ends up circling routers 0 -> 1 -> 2 -> 0 of
+    row 0, entering the ring wherever its source's column meets it."""
+
+    def __init__(self, topo):
+        self.topo = topo
+
+    def check_deliverable(self, source, dest):
+        pass
+
+    def decide(self, el, in_from, header):
+        if el[0] == "RTR":
+            dim = 0 if el[1][1] == 0 else 1
+            return Decision(outputs=(self.topo.crossbar_of(el[1], dim),), rc=RC.NORMAL)
+        x, y = in_from[1]
+        out = ((x + 1) % 3, 0) if el[1] == 0 else (x, 0)
+        return Decision(outputs=(rtr(out),), rc=RC.NORMAL)
+
+
+class _Unkeyed:
+    """A relation's decisions without its ``decision_key``: the array walk
+    decides every state one by one."""
+
+    def __init__(self, logic):
+        self.logic, self.registry = logic, logic.registry
+
+    def decide(self, el, in_from, header):
+        return self.logic.decide(el, in_from, header)
+
+    def check_deliverable(self, source, dest):
+        self.logic.check_deliverable(source, dest)
+
+
+class _Trapped(_Unkeyed):
+    """4x3 dimension-order routing, except that the flow (0, 0) -> (3, 2)
+    is sent round the column-0 crossbar between routers (0, 0) and
+    (0, 1) for ever once it leaves its source router: a cycle that only
+    that one source reaches."""
+
+    TRAP = ((0, 0), (0, 1))
+
+    def decide(self, el, in_from, header):
+        column = self.logic.topo.crossbar_of((0, 0), 1)
+        if header.dest == (3, 2):
+            if el[0] == "RTR" and el[1] in self.TRAP and in_from != pe((0, 1)):
+                return Decision(outputs=(column,), rc=RC.NORMAL)
+            if el == column:
+                return Decision(outputs=(rtr((0, 1 - in_from[1][1])),), rc=RC.NORMAL)
+        return self.logic.decide(el, in_from, header)
+
+
+class _Refusing(SwitchLogic):
+    """The paper's relation, refusing packets for column 1 at the crossbar
+    of row 2 -- a refusal that reads no more than the decision key
+    (``dest[0]`` at a dimension-0 crossbar), as every keyed rule must."""
+
+    def decide(self, el, in_from, header):
+        if el == xb(0, (2,)) and header.dest[0] == 1:
+            raise RoutingError(f"{el} refuses {header.dest}")
+        return super().decide(el, in_from, header)
+
+
+def _walked(topo, logic, pairs):
+    """What the array walk and the stack loop it replaced make of
+    ``pairs``: ``(succ, channels, num_flows)``, or the exception."""
+
+    def outcome(build):
+        try:
+            return build()
+        except RoutingError as err:
+            return err
+
+    def array():
+        cdg = ChannelDependencyGraph()
+        cdg.add_unicasts(topo, logic, pairs)
+        return cdg.succ, cdg.channels, cdg.num_flows
+
+    return outcome(array), outcome(lambda: reference_add_unicasts(topo, logic, pairs))
+
+
+def _same_error(got, want):
+    assert isinstance(want, RoutingError), want
+    assert type(got) is type(want), (got, want)
+
+
 class TestWalker:
     def test_routing_loop_raises_from_build_cdg(self, topo43):
         with pytest.raises(RouteLoopError):
@@ -217,6 +308,66 @@ class TestWalker:
                 logic43_faulty_rtr,
                 unicast_flows=[Unicast((0, 0), (2, 0))],
             )
+
+    # -- raises iff the stack loop it replaced raises, with the same type --
+    def test_looping_relation_raises_as_before(self, topo43):
+        _same_error(*_walked(topo43, _LoopingRelation(topo43), [((0, 0), (3, 2))]))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["row-first", "column-first"])
+    def test_sources_entering_one_cycle_apart_raise(self, topo43, order):
+        # (0, 0) enters the ring at its first hop, (2, 2) two hops later
+        # at another router: each reaches states the other reached first
+        pairs = [((0, 0), (3, 1)), ((2, 2), (3, 1))][::order]
+        got, want = _walked(topo43, _RingRelation(topo43), pairs)
+        _same_error(got, want)
+        assert isinstance(got, RouteLoopError)
+
+    def test_cycle_reached_by_the_last_flow_only_raises(self, topo43, logic43):
+        nodes = topo43.node_coords()
+        dests = [t for t in nodes if t != (3, 2)] + [(3, 2)]
+        pairs = [(s, t) for t in dests for s in reversed(nodes) if s != t]
+        assert pairs[-1] == ((0, 0), (3, 2))
+        got, want = _walked(topo43, _Trapped(logic43), pairs)
+        _same_error(got, want)
+        assert isinstance(got, RouteLoopError)
+        healthy = _walked(topo43, _Trapped(logic43), pairs[:-1])
+        assert healthy[0] == healthy[1]
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
+    def test_a_refused_state_raises_the_relations_error(self, topo43, keyed):
+        logic = _Refusing(topo43, make_config(topo43.shape))
+        relation = logic if keyed else _Unkeyed(logic)
+        got, want = _walked(topo43, relation, unicast_pairs(topo43, logic))
+        _same_error(got, want)
+        assert "refuses" in str(got)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"fault": Fault.router((2, 0))},
+            {"fault": Fault.crossbar(0, (1,))},
+            {"fault": Fault.router((2, 0)), "detour_scheme": DetourScheme.NAIVE},
+        ],
+        ids=str,
+    )
+    def test_decision_key_changes_nothing(self, topo43, kw):
+        logic = make_logic(topo43, **kw)
+        pairs = unicast_pairs(topo43, logic)
+        keyed, want = _walked(topo43, logic, pairs)
+        unkeyed, _ = _walked(topo43, _Unkeyed(logic), pairs)
+        assert keyed == unkeyed == want
+
+    def test_undeliverable_pair_raises_the_relations_error(
+        self, topo43, logic43_faulty_rtr
+    ):
+        pairs = [((0, 0), (3, 2)), ((1, 1), (0, 0)), ((0, 1), (2, 0)), ((2, 0), (1, 1))]
+        got, want = _walked(topo43, logic43_faulty_rtr, pairs)
+        _same_error(got, want)
+        assert isinstance(got, UnreachableDestinationError)
+        assert str(got) == str(want) == (
+            "destination PE(2, 0) is disconnected (its router is faulty)"
+        )
 
 
 def _eager_edge_flows(topo, logic):

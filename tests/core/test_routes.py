@@ -17,14 +17,15 @@ from repro.core import (
     route_all_broadcasts,
     route_all_unicasts,
 )
-from repro.core.config import BroadcastMode, ConfigError
+from repro.core.config import BroadcastMode, ConfigError, DetourScheme
 from repro.core.dimension_order import (
     expected_normal_elements,
     expected_request_leg_elements,
     expected_xb_hops,
 )
 from repro.core.multifault import all_single_faults
-from repro.core.routes import RouteLoopError
+from repro.core.packet import Header
+from repro.core.routes import RouteLoopError, _HopWalk
 from repro.core.switch_logic import UnreachableDestinationError
 from repro.topology import MDCrossbar, pe, rtr, xb
 from tests.conftest import make_logic
@@ -373,3 +374,45 @@ class TestSharedSpread:
         for tree in route_all_broadcasts(topo43, logic, sources):
             want = compute_route(topo43, logic, tree.flow)
             assert tree_fields(tree) == tree_fields(want), tree.flow
+
+
+class TestHopWalkSelectors:
+    """The array walk (``routes._HopWalk``) looks a state's next state up
+    at ``(el, rc, sel)``.  That index must never join two states that
+    :meth:`SwitchLogic.decision_key` tells apart: states with one index
+    have one key, or both ``None`` (DESIGN.md 5l)."""
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 3, 2), (2, 2, 2)])
+    def test_one_entry_one_decision_key(self, shape):
+        import numpy as np
+
+        topo = MDCrossbar(shape)
+        chans = topo.channels()
+        nodes = topo.node_coords()
+        # every (channel into a switch, rc, dest)
+        into = [c.cid for c in chans if c.dst[0] != "PE"]
+        grid = np.meshgrid(into, [RC.NORMAL, RC.DETOUR], range(len(nodes)), indexing="ij")
+        cid, rc, t = (a.ravel() for a in grid)
+        states = list(zip(cid.tolist(), rc.tolist(), t.tolist()))
+        headers = {
+            (r, d): Header(source=nodes[0], dest=nodes[d], rc=RC(r))
+            for r in (RC.NORMAL, RC.DETOUR)
+            for d in range(len(nodes))
+        }
+        configs = 0
+        for fault in [None] + all_single_faults(shape):
+            for scheme in DetourScheme:
+                try:
+                    cfg = make_config(shape, fault=fault, detour_scheme=scheme)
+                except ConfigError:
+                    continue
+                logic = SwitchLogic(topo, cfg)
+                walk = _HopWalk(np, topo, logic, None)
+                sel_of = walk.selectors(np.arange(len(nodes)))
+                entries = walk.entries(sel_of, len(nodes), walk.dst[cid], t, rc)
+                key_of, seen = logic.decision_key, {}
+                for k, (c, r, d) in zip(entries.tolist(), states):
+                    key = key_of(chans[c].dst, chans[c].src, headers[r, d])
+                    assert seen.setdefault(k, key) == key, (fault, scheme, chans[c], d)
+                configs += 1
+        assert configs > len(all_single_faults(shape))

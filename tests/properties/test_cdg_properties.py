@@ -16,8 +16,10 @@ from repro.core.cdg import CDGResult, ChannelDependencyGraph, DeadlockHazard, _L
 from repro.core.config import BroadcastMode, ConfigError, DetourScheme
 from repro.core.coords import all_coords
 from repro.core.multifault import all_single_faults
-from repro.core.routes import Unicast, unicast_pairs
+from repro.core.packet import RC, Header
+from repro.core.routes import RouteLoopError, Unicast, unicast_pairs
 from repro.topology import MDCrossbar, pe, rtr
+from repro.topology.base import ElementKind, element_kind
 from tests.conftest import examples
 
 small_2d = st.tuples(st.integers(2, 4), st.integers(2, 4))
@@ -135,6 +137,98 @@ def test_walker_equals_per_flow_route_trees(case):
     assert cdg.num_flows == len(trees)
     assert cdg.succ == succ
     assert cdg.channels == channels
+
+
+# -- the array walk against the per-destination stack loop it replaced -------
+def reference_walk(topo, logic, pairs):
+    """The per-destination stack walk the array walk replaced: yields
+    ``(channel, output channels)`` per switch decision; a source's walk
+    re-entering a state it opened itself is a routing loop."""
+    by_dest = {}
+    for source, dest in pairs:
+        logic.check_deliverable(source, dest)
+        by_dest.setdefault(dest, []).append(source)
+    for dest, sources in by_dest.items():
+        headers = {rc: Header(source=sources[0], dest=dest, rc=rc) for rc in RC}
+        opened_by = {}
+        for walk, source in enumerate(sources):
+            stack = [(topo.injection_channel(source), RC.NORMAL)]
+            while stack:
+                chan, rc = stack.pop()
+                state = (chan.cid, rc)
+                if state in opened_by:
+                    if opened_by[state] == walk:
+                        raise RouteLoopError(
+                            f"flow {Unicast(source, dest)} revisited channel "
+                            f"{chan}; routing loop"
+                        )
+                    continue  # merged into an earlier source's route
+                opened_by[state] = walk
+                el = chan.dst
+                if element_kind(el) is ElementKind.PE:
+                    continue
+                decision = logic.decide(el, chan.src, headers[rc])
+                outs = (
+                    []
+                    if decision.drop
+                    else [topo.channel(el, o) for o in decision.outputs]
+                )
+                yield chan, outs
+                for out in outs:
+                    stack.append((out, decision.rc))
+
+
+def reference_add_unicasts(topo, logic, pairs, sxb_element=None, sxb_outputs=()):
+    """``(succ, channels, num_flows)`` the way the stack walk's
+    ``add_unicasts`` loop built them."""
+    succ, channels = {}, {}
+    for chan, nexts in reference_walk(topo, logic, pairs):
+        channels[chan.cid] = chan
+        if chan.dst == sxb_element:
+            nexts = [*nexts, *sxb_outputs]
+        if nexts:
+            waits = succ.setdefault(chan.cid, set())
+            for o in nexts:
+                channels[o.cid] = o
+                waits.add(o.cid)
+    return succ, channels, len(pairs)
+
+
+@st.composite
+def array_walk_case(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    singles = all_single_faults(shape)
+    faults = draw(st.lists(st.sampled_from(singles), max_size=2, unique=True)) if (
+        singles
+    ) else []
+    mode = draw(st.sampled_from(list(BroadcastMode)))
+    scheme = draw(st.sampled_from(list(DetourScheme)))
+    # every healthy pair, or a sub-multiset with repeats in scrambled order
+    subset = draw(st.none() | st.lists(st.integers(0, 10_000), max_size=60))
+    return shape, faults, mode, scheme, subset, draw(st.booleans())
+
+
+@given(array_walk_case())
+@settings(max_examples=examples(60), deadline=None)
+def test_array_walk_equals_the_per_destination_loop(case):
+    shape, faults, mode, scheme, subset, barrier = case
+    topo = MDCrossbar(shape)
+    try:
+        cfg = make_config(
+            shape, faults=faults or None, broadcast_mode=mode, detour_scheme=scheme
+        )
+    except ConfigError:
+        return  # fault set not tolerable / no distinct D-XB on this shape
+    pairs = unicast_pairs(topo, SwitchLogic(topo, cfg))
+    if subset is not None:
+        pairs = [pairs[i % len(pairs)] for i in subset] if pairs else []
+    sxb = cfg.sxb_element if barrier else None
+    outs = tuple(topo.channels_from(cfg.sxb_element)) if barrier else ()
+    got = ChannelDependencyGraph()
+    given_pairs = None if subset is None else pairs
+    got.add_unicasts(topo, SwitchLogic(topo, cfg), given_pairs, sxb, outs)
+    want = reference_add_unicasts(topo, SwitchLogic(topo, cfg), pairs, sxb, outs)
+    assert (got.succ, got.channels, got.num_flows) == want
 
 
 # -- the shared S-XB spread against one whole tree per broadcast --------------

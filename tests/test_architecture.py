@@ -83,10 +83,24 @@ def test_consumers_import_the_runtime_not_the_engine_guts():
     assert "from .runtime import" in cli
 
 
-def test_import_repro_leaves_networkx_unloaded():
-    """networkx (~0.13 s to import) serves the ordering certificate only;
-    every CLI call and worker launch pays for whatever ``import repro``
-    pulls in."""
-    code = "import sys, repro; sys.exit('networkx' in sys.modules)"
+def test_import_repro_leaves_numpy_and_networkx_unloaded():
+    """Every CLI call and worker launch pays for whatever ``import repro``
+    pulls in, so numpy is imported inside the functions that use it."""
+    code = (
+        "import sys, repro; "
+        "sys.exit(bool({'numpy', 'networkx'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_no_module_imports_networkx():
+    """The ordering certificate ranks by Kahn's algorithm; networkx is no
+    dependency of the package."""
+    pattern = re.compile(r"^\s*(import|from)\s+networkx\b", re.M)
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if pattern.search(path.read_text())
+    ]
+    assert not offenders, f"networkx imported by {offenders}"
