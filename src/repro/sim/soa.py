@@ -27,11 +27,14 @@ reductions:
   dict insertion order, and that order is observable: a connection whose
   destination buffer is full (or source buffer empty) at phase start still
   moves if the draining (or supplying) connection comes *earlier* in the
-  iteration.  The kernel therefore splits the phase: order-independent
-  movers (source ready and destination space at phase start) apply
-  vectorized, and the small conditional set resolves in ascending
-  connection order against the recorded enabler orders -- byte-identical
-  to the sequential scan;
+  iteration.  The kernel therefore applies the phase in waves: wave 0
+  is the order-independent movers (source ready and destination space at
+  phase start), and wave k+1 every blocked candidate whose enablers --
+  read from the phase-start state -- all moved in waves up to k.  An
+  enabler always has a strictly smaller order stamp, so the ascending
+  scan computes the least fixed point and the waves reach the same one;
+  no member of a wave enables another of the same wave, so popping before
+  pushing within a wave leaves the rings as the sequential scan does;
 * **inject** mirrors the scalar phase (generators are arbitrary Python
   callbacks and injection order rides on engine state the kernel shares).
 
@@ -66,7 +69,7 @@ import numpy as np
 
 from ..core.packet import FlitKind
 from .adapter import decide_batch
-from .fabric import Connection, PendingRequest, SimFlit
+from .fabric import Connection, InFlightPacket, PendingRequest, SimFlit
 
 _HEAD = int(FlitKind.HEAD)
 _BODY = int(FlitKind.BODY)
@@ -645,6 +648,7 @@ class SoAKernel:
         i = np.nonzero(self.ic_alive)[0]
         if f.size == 0 and i.size == 0:
             return
+        V = self.V
         cap = self.cap
         buf_len = self.buf_len
         fl = buf_len[f]
@@ -664,95 +668,66 @@ class SoAKernel:
         fdst_pot = (~fdst_ok) & self.fc_alive[fdst_safe] & ~fdrop
         fcond = (~fm0) & (fsrc_ok | fsrc_pot) & (fdst_ok | fdst_pot)
         icond = (~im0) & self.fc_alive[idst]
-        extras: List[Tuple[int, str, int]] = []
-        if fcond.any() or icond.any():
-            extras = self._resolve_conditional(
-                f, fm0, fcond, i, im0, icond
-            )
-        moved = False
-        fm = f[fm0]
-        if fm.size:
-            moved = True
-            self._apply_fabric(fm)
-        im = i[im0]
-        if im.size:
-            moved = True
-            self._apply_injection(im)
-        for _, kind, idx in extras:
-            moved = True
-            if kind == "f":
-                self._apply_fabric(np.array([idx], dtype=np.int64))
-            else:
-                self._apply_injection(np.array([idx], dtype=np.int64))
-        if moved:
-            self.last_progress = self.eng.cycle
-
-    def _resolve_conditional(self, f, fm0, fcond, i, im0, icond):
-        """Decide the order-dependent movers with one ascending pass (an
-        enabler always has a strictly smaller connection order)."""
-        V = self.V
-        filler_ord = np.full(V, -1, dtype=np.int64)
-        filler_isf = np.zeros(V, dtype=bool)
-        filler_id = np.zeros(V, dtype=np.int64)
-        fout = self.fc_cout[f]
-        fnz = f[fout >= 0]
-        filler_ord[self.fc_cout[fnz]] = self.fc_order[fnz]
-        filler_isf[self.fc_cout[fnz]] = True
-        filler_id[self.fc_cout[fnz]] = fnz
-        filler_ord[self.ic_cout[i]] = self.ic_order[i]
-        filler_id[self.ic_cout[i]] = i
-        moved_f = np.zeros(V, dtype=bool)
-        moved_f[f[fm0]] = True
-        moved_i = np.zeros(len(self.ic_alive), dtype=bool)
-        moved_i[i[im0]] = True
-        cands = [
-            (int(self.fc_order[cid]), "f", int(cid))
-            for cid in f[fcond].tolist()
-        ] + [
-            (int(self.ic_order[p]), "i", int(p)) for p in i[icond].tolist()
-        ]
-        cands.sort()
-        cap = self.cap
-        buf_len = self.buf_len
-        extras = []
-        for order_c, kind, idx in cands:
-            if kind == "f":
-                cid = idx
-                src_ok = buf_len[cid] > 0 and (
-                    self.buf_pid[cid, self.buf_start[cid]]
-                    == self.fc_pid[cid]
+        node = np.concatenate((f[fcond], V + i[icond]))
+        if node.size:
+            # each candidate's enablers, read before wave 0 applies (a tail
+            # moving in it clears its connection's fc_alive).  Nodes are
+            # fabric cids and V + injection slots; the supplier ("filler")
+            # of an empty source is the connection whose output it is, the
+            # drainer of a full destination the connection at it.  NONE
+            # stands for "not needed", MISSING for a filler that is absent.
+            NONE = V + self.ic_alive.size
+            MISSING = NONE + 1
+            filler = np.full(V, MISSING, dtype=np.int64)
+            filler[fdst[~fdrop]] = f[~fdrop]
+            filler[idst] = V + i
+            e_src = np.concatenate(
+                (
+                    np.where(fsrc_pot[fcond], filler[f[fcond]], NONE),
+                    np.full(int(icond.sum()), NONE),
                 )
-                if not src_ok and buf_len[cid] == 0:
-                    fo = filler_ord[cid]
-                    if 0 <= fo < order_c:
-                        fid = int(filler_id[cid])
-                        src_ok = (
-                            moved_f[fid]
-                            if filler_isf[cid]
-                            else moved_i[fid]
-                        )
-                d = int(self.fc_cout[cid])
-                dst_ok = d < 0 or buf_len[d] < cap
-                if not dst_ok and self.fc_alive[d]:
-                    dst_ok = self.fc_order[d] < order_c and moved_f[d]
-                if src_ok and dst_ok:
-                    moved_f[cid] = True
-                    extras.append((order_c, kind, cid))
-            else:
-                p = idx
-                d = int(self.ic_cout[p])
-                dst_ok = buf_len[d] < cap
-                if not dst_ok and self.fc_alive[d]:
-                    dst_ok = self.fc_order[d] < order_c and moved_f[d]
-                if dst_ok:
-                    moved_i[p] = True
-                    extras.append((order_c, kind, p))
-        return extras
+            )
+            e_dst = np.concatenate(
+                (np.where(fdst_ok[fcond], NONE, fdst[fcond]), idst[icond])
+            )
+            order = np.concatenate(
+                (self.fc_order, self.ic_order, (-1, np.iinfo(np.int64).max))
+            )
+            # an enabler later in the scan order cannot enable
+            own = order[node]
+            ok = (order[e_src] < own) & (order[e_dst] < own)
+            node, e_src, e_dst = node[ok], e_src[ok], e_dst[ok]
+            moved = np.zeros(NONE + 1, dtype=bool)
+            moved[NONE] = True
+            moved[f[fm0]] = True
+            moved[V + i[im0]] = True
+        # wave 0 is the phase-start movers; wave k+1 every candidate whose
+        # needed enablers all moved in waves <= k
+        wf, wi = f[fm0], i[im0]
+        drops = []
+        while wf.size or wi.size:
+            self.last_progress = self.eng.cycle
+            if wf.size:
+                d = self._apply_fabric(wf)
+                if d.size:
+                    drops.append(d)
+            if wi.size:
+                self._apply_injection(wi)
+            if not node.size:
+                break
+            ready = moved[e_src] & moved[e_dst]
+            w = node[ready]
+            moved[w] = True
+            node, e_src, e_dst = node[~ready], e_src[~ready], e_dst[~ready]
+            wf, wi = w[w < V], w[w >= V] - V
+        if drops:
+            self._drop_tails(np.concatenate(drops))
 
-    def _apply_fabric(self, fm) -> None:
+    def _apply_fabric(self, fm) -> np.ndarray:
         """Move one flit through each fabric connection in ``fm`` (pops
         before pushes, so a buffer popped and refilled in the same cycle
-        lands its newcomer behind the survivors)."""
+        lands its newcomer behind the survivors).  Returns the drop
+        connections whose tail it swallowed."""
         cap = self.cap
         s = self.buf_start[fm]
         v_pid = self.buf_pid[fm, s]
@@ -776,26 +751,27 @@ class SoAKernel:
             self.eject_pend[dp[self.is_pe[dp]]] = True
         tailish = (v_kind == _TAIL) | (v_kind == _HEAD_TAIL)
         td = fm[tailish]
-        if td.size:
-            douts = self.fc_cout[td]
-            rel = douts[douts >= 0]
-            self.owner[rel] = -1
-            self.fc_alive[td] = False
-            self.nconns -= int(td.size)
-            nonempty = self.buf_len[td] > 0
-            self.route_cand[td[nonempty]] = True
-            drops = td[douts < 0]
-            if drops.size:
-                eng = self.eng
-                for cid in drops[
-                    np.argsort(self.fc_order[drops], kind="stable")
-                ].tolist():
-                    pid = int(self.fc_pid[cid])
-                    inf = eng.in_flight.pop(pid, None)
-                    if inf is not None:
-                        eng.dropped.append(inf.packet)
-                    self.hdr_by_pid.pop(pid, None)
         self.flit_moves += int(fm.size)
+        if not td.size:
+            return td
+        douts = self.fc_cout[td]
+        self.owner[douts[douts >= 0]] = -1
+        self.fc_alive[td] = False
+        self.nconns -= int(td.size)
+        self.route_cand[td[self.buf_len[td] > 0]] = True
+        return td[douts < 0]
+
+    def _drop_tails(self, drops) -> None:
+        """Retire the packets whose tails drop connections swallowed this
+        phase, in connection order (the scalar scan's ``dropped`` order)."""
+        eng = self.eng
+        order = np.argsort(self.fc_order[drops], kind="stable")
+        for cid in drops[order].tolist():
+            pid = int(self.fc_pid[cid])
+            inf = eng.in_flight.pop(pid, None)
+            if inf is not None:
+                eng.dropped.append(inf.packet)
+            self.hdr_by_pid.pop(pid, None)
 
     def _apply_injection(self, im) -> None:
         cap = self.cap
@@ -864,8 +840,6 @@ class SoAKernel:
             self.ic_packet[p] = packet
             self.nconns += 1
             self.hdr_by_pid[packet.pid] = packet.header
-            from .fabric import InFlightPacket
-
             eng.in_flight[packet.pid] = InFlightPacket(
                 packet=packet,
                 expected_deliveries=eng.expected_deliveries(packet),

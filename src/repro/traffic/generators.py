@@ -60,6 +60,9 @@ class BernoulliInjector:
         self.measure_until = measure_until
         self.offered = 0
         self.measured_pids: set = set()
+        #: ``sim.live_nodes`` as last seen, and its set for O(1) lookups
+        self._live: Sequence[Coord] = ()
+        self._live_set: frozenset = frozenset()
 
     @property
     def packet_rate(self) -> float:
@@ -85,6 +88,9 @@ class BernoulliInjector:
             return
         shape = sim.topo.shape
         live = sim.live_nodes
+        if live is not self._live:  # a reset or fault built a new tuple
+            self._live, self._live_set = live, frozenset(live)
+        live_set = self._live_set
         rng = self.rng
         random = rng.random
         rate = self.packet_rate
@@ -95,7 +101,7 @@ class BernoulliInjector:
             dest = pattern(src, shape, rng)
             if dest == src:
                 continue
-            if dest not in live:
+            if dest not in live_set:
                 continue
             pkt = Packet(
                 Header(source=src, dest=dest), length=self.packet_length
