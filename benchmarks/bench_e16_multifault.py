@@ -7,7 +7,7 @@ from repro.core.multifault import fault_pair_census
 
 def test_e16_two_fault_census_2d(benchmark, report):
     def kernel():
-        return fault_pair_census((4, 3), check_deadlock=True)
+        return fault_pair_census((4, 3))
 
     summary = benchmark.pedantic(kernel, rounds=1, iterations=1)
     lines = [
@@ -31,11 +31,11 @@ def test_e16_two_fault_census_2d(benchmark, report):
 
 def test_e16_router_pairs_all_tolerated(benchmark, report):
     def kernel():
-        return fault_pair_census((4, 4), kinds="router", check_deadlock=False)
+        return fault_pair_census((4, 4), kinds="router")
 
     summary = benchmark.pedantic(kernel, rounds=1, iterations=1)
     report(
-        "E16b: all router-fault pairs on 4x4 (reachability census)",
+        "E16b: all router-fault pairs on 4x4",
         *summary.rows(),
     )
     assert summary.tolerated == summary.total
@@ -47,7 +47,6 @@ def test_e16_naive_scheme_pairs_hazardous(benchmark, report):
             (4, 3),
             kinds="router",
             detour_scheme=DetourScheme.NAIVE,
-            check_deadlock=True,
             max_pairs=20,
         )
 

@@ -3,9 +3,9 @@ reliability -- MTTF without the facility, with the paper's single-fault
 facility, and with the multi-fault extension.
 
 The extended column comes from the campaign engine
-(:mod:`repro.analysis.campaign`) -- the same estimator the ``repro
-campaign`` CLI and the ``campaign_mttf`` sysbench workload use, so this
-table cannot drift from a second reliability implementation."""
+(:mod:`repro.analysis.campaign`), the repo's one MTTF estimator: the
+``repro campaign`` CLI and the ``campaign_mttf`` sysbench workload use
+it too."""
 
 from repro.analysis import mttf_comparison
 
@@ -13,9 +13,7 @@ from repro.analysis import mttf_comparison
 def test_e19_mttf_comparison(benchmark, report):
     def kernel():
         return {
-            shape: mttf_comparison(
-                shape, samples=150, seed=13, engine="campaign"
-            )
+            shape: mttf_comparison(shape, samples=150, seed=13)
             for shape in [(4, 3), (4, 4)]
         }
 

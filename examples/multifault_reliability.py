@@ -27,7 +27,7 @@ def main() -> None:
         print(" ", analyze_fault_set(topo, faults).row())
 
     print("\n=== exhaustive two-fault census ===")
-    summary = fault_pair_census(SHAPE, check_deadlock=True)
+    summary = fault_pair_census(SHAPE)
     for line in summary.rows():
         print(" ", line)
     print(

@@ -34,7 +34,6 @@ from .reliability import (
     mttf_comparison,
     mttf_no_facility,
     mttf_single_fault_facility,
-    simulate_extended_facility,
 )
 from .campaign import (
     CampaignCheckpoint,
@@ -87,7 +86,6 @@ __all__ = [
     "mttf_comparison",
     "mttf_no_facility",
     "mttf_single_fault_facility",
-    "simulate_extended_facility",
     "SaturationEstimate",
     "channel_route_counts",
     "estimate_saturation",

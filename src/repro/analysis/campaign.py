@@ -1,14 +1,17 @@
 """Streaming Monte-Carlo reliability campaigns (paper Sections 1 and 4).
 
-:func:`repro.analysis.reliability.simulate_extended_facility` walks one
-random switch-failure order at a time and asks :func:`make_config` per
-step whether the accumulated fault set still admits a valid routing
-configuration.  That is fine for 200 samples on a 4x3 grid and hopeless
-for confidence intervals on the full 16x16x8 SR2201 (2560 switches) --
-the per-step ``make_config`` rebuild enumerates every candidate S-XB
-line against every fault, and every sample pays it again.
+The estimand: walk one random switch-failure order, with exponential
+inter-arrival times, until the accumulated fault set no longer admits a
+valid routing configuration; the mean death time is the extended
+facility's MTTF.  Asking :func:`make_config` per step is fine for 200
+samples on a 4x3 grid and hopeless for confidence intervals on the full
+16x16x8 SR2201 (2560 switches) -- the per-step ``make_config`` rebuild
+enumerates every candidate S-XB line against every fault, and every
+sample pays it again.
 
-This module is the campaign-scale engine.  Three ideas:
+This module is the one MTTF estimator: ``repro campaign``, E19 and
+:func:`repro.analysis.reliability.mttf_comparison` all go through it.
+Three ideas:
 
 **Closed-form feasibility.**  ``make_config`` succeeds on a fault set
 iff (R1) all faulty crossbars share one dimension -- which is then
@@ -275,41 +278,6 @@ def worker_universe(shape) -> SwitchUniverse:
     return uni
 
 
-class FeasibilityMemo:
-    """Bounded fault-set -> feasible memo for the scalar walkers.
-
-    Keys are sorted index tuples, so permutations of the same fault set
-    share one entry.  Insertions stop at ``capacity`` (lookups keep
-    working); campaigns at machine scale would otherwise accumulate
-    millions of distinct prefixes.
-    """
-
-    def __init__(
-        self, universe: SwitchUniverse, need: int = 1,
-        capacity: int = 1_000_000,
-    ) -> None:
-        self.universe = universe
-        self.need = need
-        self.capacity = capacity
-        self._memo: Dict[Tuple[int, ...], bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def feasible(self, key: Tuple[int, ...]) -> bool:
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        verdict = self.universe.feasible(key, need=self.need)
-        if len(self._memo) < self.capacity:
-            self._memo[key] = verdict
-        return verdict
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-
 # --------------------------------------------------------------------------
 # streaming reducer state
 # --------------------------------------------------------------------------
@@ -436,9 +404,8 @@ def sample_block(
     Each walk draws switch failures uniformly without replacement with
     exponential inter-arrival times (scale ``1/((n - step) * rate)``)
     and stops when the accumulated set turns infeasible or reaches the
-    fault cap -- the same death semantics as the scalar
-    ``simulate_extended_facility`` walk: a walk that dies at fault ``k``
-    *survived* ``k - 1`` faults when infeasible, ``k`` when capped.
+    fault cap: a walk that dies at fault ``k`` *survived* ``k - 1``
+    faults when infeasible, ``k`` when capped.
 
     Every state array holds the *live* walks only, walks on the last
     axis, in ascending sample order (column ``i`` is sample ``idx[i]``):
@@ -992,9 +959,9 @@ def campaign_mttf_estimate(
     max_faults: Optional[int] = None,
     jobs: Optional[int] = None,
 ) -> MTTFEstimate:
-    """Campaign-backed drop-in for ``simulate_extended_facility``'s
-    return value (different sampler, same estimand): the e19 benchmark
-    and ``mttf_comparison(engine="campaign")`` use this path."""
+    """One campaign's estimate as an :class:`MTTFEstimate`: what
+    :func:`repro.analysis.reliability.mttf_comparison` and the E19
+    benchmark report."""
     spec = CampaignSpec(
         shape=tuple(shape),
         samples=samples,

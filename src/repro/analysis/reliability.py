@@ -17,25 +17,15 @@ being *operable*:
 
 :func:`mttf_comparison` returns analytic values for the first two and a
 Monte-Carlo estimate for the third, as mean time to (operational) failure
-in units of ``1/rate``.
-
-:func:`simulate_extended_facility` is the historical scalar sampler, kept
-for its byte-stable default-seed outputs; it now rides the campaign
-engine's closed-form R1/R2 feasibility oracle
-(:class:`repro.analysis.campaign.SwitchUniverse`) instead of calling
-``make_config`` per step.  Campaign-scale estimation -- millions of
-samples, chunked over workers, streaming reducers -- lives in
-:mod:`repro.analysis.campaign`; ``mttf_comparison(engine="campaign")``
-switches the extended-facility column onto it.
+in units of ``1/rate``.  The estimate comes from the campaign engine
+(:func:`repro.analysis.campaign.campaign_mttf_estimate`), the one sampler
+``repro campaign`` and E19 use too.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..topology.mdcrossbar import MDCrossbar
 
@@ -65,81 +55,6 @@ class MTTFEstimate:
         )
 
 
-def _std_error(times: List[float]) -> float:
-    """Standard error of the mean; explicitly NaN for a single sample
-    (one observation carries no spread information -- previously this
-    hit ``np.std(ddof=1)`` on a length-1 array and warned its way to the
-    same NaN)."""
-    n = len(times)
-    if n <= 1:
-        return float("nan")
-    arr = np.asarray(times)
-    return float(arr.std(ddof=1) / np.sqrt(n))
-
-
-def simulate_extended_facility(
-    shape,
-    rate: float = 1.0,
-    samples: int = 200,
-    seed: int = 13,
-    max_faults: Optional[int] = None,
-) -> MTTFEstimate:
-    """Monte-Carlo MTTF of the multi-fault extension (scalar sampler).
-
-    Each sample draws a random failure order over all switches with
-    exponential inter-arrival times; the machine dies when the
-    accumulated fault set admits no valid routing configuration (any
-    infeasible set), or on reaching ``max_faults``.  Returns time in
-    units of 1/rate.
-
-    Byte-identical to the original ``make_config``-per-step
-    implementation at every seed (same RNG call sequence, same
-    feasibility verdicts -- the campaign oracle is exact); the sorted
-    memo key is now maintained incrementally with :func:`bisect.insort`
-    instead of re-sorting the whole fault list every step, and
-    feasibility is an O(faults x dims) closed-form count instead of a
-    candidate-line scan.  For large ``samples`` use
-    :func:`repro.analysis.campaign.run_campaign` -- the vectorized,
-    chunkable engine -- instead of this walker.
-    """
-    from .campaign import FeasibilityMemo, worker_universe
-
-    rng = np.random.default_rng(seed)
-    universe = worker_universe(shape)
-    n = universe.num_switches
-    cap = max_faults if max_faults is not None else n
-    memo = FeasibilityMemo(universe)
-    times: List[float] = []
-    survived: List[int] = []
-
-    for _ in range(samples):
-        order = rng.permutation(n)
-        t = 0.0
-        alive = n
-        key: List[int] = []
-        death: Optional[float] = None
-        for step, idx in enumerate(order):
-            # exponential waiting time for the next failure among the
-            # remaining healthy switches
-            t += float(rng.exponential(1.0 / (alive * rate)))
-            alive -= 1
-            insort(key, int(idx))
-            feasible = memo.feasible(tuple(key))
-            if not feasible or step + 1 >= cap:
-                death = t
-                survived.append(step if not feasible else step + 1)
-                break
-        times.append(death if death is not None else t)
-        if death is None:
-            survived.append(n)
-    return MTTFEstimate(
-        mean=float(np.asarray(times).mean()),
-        std_error=_std_error(times),
-        mean_faults_survived=float(np.mean(survived)),
-        samples=samples,
-    )
-
-
 @dataclass
 class ReliabilityComparison:
     shape: Tuple[int, ...]
@@ -162,29 +77,16 @@ class ReliabilityComparison:
 
 
 def mttf_comparison(
-    shape, samples: int = 200, seed: int = 13, engine: str = "loop"
+    shape, samples: int = 200, seed: int = 13
 ) -> ReliabilityComparison:
-    """Analytic + Monte-Carlo MTTF comparison for one network shape.
+    """Analytic + Monte-Carlo MTTF comparison for one network shape."""
+    from .campaign import campaign_mttf_estimate
 
-    ``engine="loop"`` keeps the historical scalar sampler (byte-stable
-    outputs at default seeds); ``engine="campaign"`` estimates through
-    :mod:`repro.analysis.campaign` -- same estimand, block-seeded
-    sampler, feasible at millions of samples.
-    """
-    topo = MDCrossbar(shape)
-    num_switches = len(topo.switch_elements())
-    if engine == "loop":
-        extended = simulate_extended_facility(shape, samples=samples, seed=seed)
-    elif engine == "campaign":
-        from .campaign import campaign_mttf_estimate
-
-        extended = campaign_mttf_estimate(shape, samples=samples, seed=seed)
-    else:
-        raise ValueError(f"unknown reliability engine {engine!r}")
+    num_switches = len(MDCrossbar(shape).switch_elements())
     return ReliabilityComparison(
         shape=tuple(shape),
         num_switches=num_switches,
         no_facility=mttf_no_facility(num_switches),
         single_fault=mttf_single_fault_facility(num_switches),
-        extended=extended,
+        extended=campaign_mttf_estimate(shape, samples=samples, seed=seed),
     )

@@ -173,15 +173,19 @@ def _add_recovery(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_shape_detour(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", type=parse_shape, default=(4, 3), help="e.g. 4x3 or 4x4x4")
-    p.add_argument(
-        "--fault", type=parse_fault, action="append",
-        help="rtr:x,y or xb:dim:line; repeatable for multi-fault analysis",
-    )
     p.add_argument(
         "--detour", choices=[s.value for s in DetourScheme], default="safe",
         help="detour scheme: safe (D-XB = S-XB, paper Sec. 5) or naive",
+    )
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_shape_detour(p)
+    p.add_argument(
+        "--fault", type=parse_fault, action="append",
+        help="rtr:x,y or xb:dim:line; repeatable for multi-fault analysis",
     )
     p.add_argument(
         "--broadcast", choices=[m.value for m in BroadcastMode],
@@ -210,7 +214,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .core.ordering import CertificateError, certify_deadlock_freedom
+    from .core.ordering import CertificateError, build_certificate
 
     topo, logic = _build(args)
     res = analyze_deadlock_freedom(topo, logic)
@@ -222,7 +226,7 @@ def cmd_check(args) -> int:
         print(res.hazard.describe())
         return 1
     try:
-        cert = certify_deadlock_freedom(topo, logic)
+        cert = build_certificate(topo, logic)
         print(
             f"ordering certificate: {len(cert.rank)} channels ranked, "
             f"{cert.num_flows_verified} flows verified"
@@ -1125,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("census", help="fault tolerance census")
-    _add_common(p)
+    _add_shape_detour(p)
     p.add_argument("--pairs", action="store_true", help="two-fault census")
     p.add_argument("--max-sets", type=int, default=None)
     p.set_defaults(fn=cmd_census)

@@ -16,7 +16,11 @@ routing-order changes) stretch when several switches fail at once:
   and rule R2 keeps all post-reset turn routers healthy for every fault);
 * **deadlock freedom** -- checked with the same tiered CDG analysis.
 
-:func:`analyze_fault_set` runs all three for one fault set;
+:func:`analyze_fault_set` runs all three for one fault set: ``make_config``
+for feasibility, then the tiered judge
+(:func:`~repro.core.cdg.analyze_deadlock_freedom`), whose walk of the
+routing relation also checks that every healthy pair and broadcast is
+routed and delivered, and raises naming the first flow that is not.
 :func:`fault_pair_census` maps the entire two-fault landscape of a network.
 """
 
@@ -31,7 +35,6 @@ from .cdg import analyze_deadlock_freedom
 from .config import ConfigError, DetourScheme, RoutingConfig, make_config
 from .coords import all_coords, all_lines
 from .fault import Fault, FaultKind
-from .routes import RouteLoopError, Unicast, compute_route
 from .switch_logic import RoutingError, SwitchLogic
 
 
@@ -44,32 +47,30 @@ class ToleranceReport:
     #: why configuration failed (empty when feasible)
     infeasible_reason: str = ""
     config: Optional[RoutingConfig] = None
-    #: healthy-endpoint pairs routed successfully / total healthy pairs
-    routed_pairs: int = 0
+    #: ordered pairs of PEs with healthy routers
     total_pairs: int = 0
-    #: pairs that could not be routed (routing loop or error)
-    failed_pairs: Tuple[Tuple, ...] = ()
+    #: the judge's message naming the first flow it cannot route (empty
+    #: when every flow routes)
+    routing_error: str = ""
+    #: the judge's verdict (``None`` when routing failed first)
     deadlock_free: Optional[bool] = None
 
     @property
     def fully_tolerant(self) -> bool:
         """The facility keeps the machine fully operational: a valid
-        configuration exists, every healthy pair routes, and the routing
-        relation stays deadlock free (``deadlock_free is None`` means the
-        check was skipped, which does not falsify tolerance)."""
-        return (
-            self.feasible
-            and self.routed_pairs == self.total_pairs
-            and self.deadlock_free is not False
-        )
+        configuration exists, every healthy flow is routed and delivered,
+        and the routing relation is deadlock free."""
+        return self.feasible and not self.routing_error and bool(self.deadlock_free)
 
     def row(self) -> str:
         names = " + ".join(str(f) for f in self.faults)
         if not self.feasible:
             return f"{names:<48} infeasible: {self.infeasible_reason}"
+        if self.routing_error:
+            return f"{names:<48} not routed: {self.routing_error} -> DEGRADED"
         verdict = "TOLERATED" if self.fully_tolerant else "DEGRADED"
         return (
-            f"{names:<48} routed {self.routed_pairs}/{self.total_pairs} "
+            f"{names:<48} routed {self.total_pairs}/{self.total_pairs} "
             f"deadlock_free={self.deadlock_free} -> {verdict}"
         )
 
@@ -79,10 +80,10 @@ def analyze_fault_set(
     faults: Sequence[Fault],
     *,
     detour_scheme: DetourScheme = DetourScheme.SAFE,
-    check_deadlock: bool = True,
-    include_broadcasts: bool = True,
 ) -> ToleranceReport:
-    """Full tolerance analysis of one fault set on one network."""
+    """Full tolerance analysis of one fault set on one network:
+    ``make_config``, then the tiered judge over every healthy pair and
+    broadcast."""
     faults = tuple(faults)
     try:
         cfg = make_config(
@@ -93,39 +94,15 @@ def analyze_fault_set(
             faults=faults, feasible=False, infeasible_reason=str(e)
         )
     logic = SwitchLogic(topo, cfg)
-    dead = set(logic.registry.dead_pes())
-    live = [c for c in topo.node_coords() if c not in dead]
-    failed: List[Tuple] = []
-    routed = 0
-    total = 0
-    for s in live:
-        for t in live:
-            if s == t:
-                continue
-            total += 1
-            try:
-                tree = compute_route(topo, logic, Unicast(s, t))
-            except (RouteLoopError, RoutingError):
-                failed.append((s, t))
-                continue
-            if t in tree.delivered:
-                routed += 1
-            else:
-                failed.append((s, t))
-    deadlock_free: Optional[bool] = None
-    if check_deadlock and not failed:
-        deadlock_free = analyze_deadlock_freedom(
-            topo, logic, include_broadcasts=include_broadcasts
-        ).deadlock_free
-    return ToleranceReport(
-        faults=faults,
-        feasible=True,
-        config=cfg,
-        routed_pairs=routed,
-        total_pairs=total,
-        failed_pairs=tuple(failed),
-        deadlock_free=deadlock_free,
+    live = len(topo.node_coords()) - len(set(logic.registry.dead_pes()))
+    report = ToleranceReport(
+        faults=faults, feasible=True, config=cfg, total_pairs=live * (live - 1)
     )
+    try:
+        report.deadlock_free = analyze_deadlock_freedom(topo, logic).deadlock_free
+    except RoutingError as e:
+        report.routing_error = str(e)
+    return report
 
 
 def all_single_faults(shape) -> List[Fault]:
@@ -179,7 +156,6 @@ def fault_pair_census(
     *,
     kinds: str = "all",
     detour_scheme: DetourScheme = DetourScheme.SAFE,
-    check_deadlock: bool = True,
     max_pairs: Optional[int] = None,
 ) -> CensusSummary:
     """Analyse every unordered pair of single faults on ``shape``.
@@ -200,12 +176,5 @@ def fault_pair_census(
     for n, pair in enumerate(combinations(singles, 2)):
         if max_pairs is not None and n >= max_pairs:
             break
-        summary.add(
-            analyze_fault_set(
-                topo,
-                pair,
-                detour_scheme=detour_scheme,
-                check_deadlock=check_deadlock,
-            )
-        )
+        summary.add(analyze_fault_set(topo, pair, detour_scheme=detour_scheme))
     return summary

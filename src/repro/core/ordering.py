@@ -215,9 +215,3 @@ def verify_certificate(
     cert.num_flows_verified = verified
     return verified
 
-
-def certify_deadlock_freedom(
-    topo: MDCrossbar, logic: SwitchLogic
-) -> OrderingCertificate:
-    """Build and verify an ordering certificate in one call."""
-    return build_certificate(topo, logic)

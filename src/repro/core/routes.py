@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 from ..topology.base import Channel, ElementId, element_kind, ElementKind, Topology
 from .coords import Coord
 from .packet import RC, Header
-from .switch_logic import Decision, RoutingError
+from .switch_logic import Decision, RoutingError, UnreachableDestinationError
 
 
 class RouteRelation(Protocol):
@@ -362,7 +362,12 @@ def unicast_hops(
     failing pair, so the relation raises its own exception),
     :class:`RouteLoopError` when some destination's reachable state graph
     has a cycle (raised by :func:`compute_route` on the first looping
-    flow), and :class:`RoutingError` from the relation.
+    flow), and :class:`RoutingError` from the relation.  Delivery is
+    checked too: a state that enters another PE than its destination's,
+    or that is dropped or given no output, makes the walk replay its
+    chunk through :func:`compute_route` and raise
+    :class:`~repro.core.switch_logic.UnreachableDestinationError` for the
+    first pair whose tree does not deliver.
     """
     import numpy as np
 
@@ -409,6 +414,10 @@ class _HopWalk:
         node_of = {c: i for i, c in enumerate(nodes)}
         self.inj = np.array(
             [topo.injection_channel(c).cid for c in nodes], np.int64
+        )
+        #: the element of each node's own PE
+        self.pe_el = np.array(
+            [index[topo.injection_channel(c).src] for c in nodes], np.int64
         )
         dead = np.zeros(len(nodes), bool)
         dead[[node_of[c] for c in relation_dead_nodes(logic)]] = True
@@ -549,10 +558,13 @@ class _HopWalk:
 
     def walk(self, chunk) -> None:
         """Expand every state the pairs to ``chunk`` reach, recording the
-        held channels and the hops; raise on a routing loop."""
+        held channels and the hops; raise on a routing loop or a pair
+        that is not delivered."""
         np, C, R, S = self.np, self.C, self.R, self.S
         dst, is_pe, tab, local = self.dst, self.is_pe, self.tab, self.local
         sel_of = None if self.key_of is None else self.selectors(chunk)
+        home = self.pe_el[chunk]
+        lost = False
         t, s = self.roots(chunk)
         cid = self.inj[s]
         rc = np.full(t.size, RC.NORMAL, np.int64)
@@ -565,6 +577,7 @@ class _HopWalk:
             self.held[cid] = True
             e = dst[cid]
             go = ~is_pe[e]
+            lost = lost or bool((e[~go] != home[t[~go]]).any())
             t, cid, rc, sid, e = t[go], cid[go], rc[go], sid[go], e[go]
             k = self.entries(sel_of, len(chunk), e, t, rc)
             out = tab[k]
@@ -582,6 +595,7 @@ class _HopWalk:
                     )
                 ]
                 out = tab[k]
+            lost = lost or bool((out == _NO_OUTPUT).any())
             step = np.flatnonzero(out >= 0)
             self.left[(cid * (R * S) + k % (R * S))[step]] = True
             nt, ncid, nrc = t[step], out[step] // R, out[step] % R
@@ -593,10 +607,12 @@ class _HopWalk:
                     cid[by_hand].tolist(),
                     rc[by_hand].tolist(),
                 )
+                nexts = [self.scalar(*state) for state in states]
+                lost = lost or not all(nexts)
                 more = [
                     (p, *nxt)
-                    for p, state in zip(by_hand.tolist(), states)
-                    for nxt in self.scalar(*state)
+                    for p, outs in zip(by_hand.tolist(), nexts)
+                    for nxt in outs
                 ]
                 if more:
                     p, oc, orc = np.array(more, np.int64).T
@@ -614,8 +630,8 @@ class _HopWalk:
             np, self.n, np.concatenate(arcs_from), np.concatenate(arcs_to)
         )
         local[np.concatenate(visited)] = -1
-        if cyclic:
-            self.raise_loop(chunk)
+        if cyclic or lost:
+            self.replay(chunk, cyclic)
 
     def claim(self, sid):
         """Give every state of ``sid`` not seen before in this chunk the
@@ -631,22 +647,29 @@ class _HopWalk:
         self.n += new.size
         return new
 
-    def raise_loop(self, chunk) -> None:
+    def replay(self, chunk, cyclic: bool) -> None:
         """Replay the flows to ``chunk`` in order: the first looping one
         raises :func:`compute_route`'s error, naming the flow and the
-        channel."""
+        channel, and the first one whose tree does not deliver raises
+        :class:`UnreachableDestinationError`, naming the flow and where it
+        was dropped."""
         for t in chunk.tolist():
             if self.pairs is None:
                 srcs = self.live[self.live != t]
             else:
                 srcs = self.s_idx[self.t_idx == t]
             for s in srcs.tolist():
-                compute_route(
-                    self.topo, self.logic, Unicast(self.nodes[s], self.nodes[t])
-                )
-        raise RouteLoopError(  # pragma: no cover - compute_route raised
-            f"the routes to {[self.nodes[t] for t in chunk]} loop"
-        )
+                flow = Unicast(self.nodes[s], self.nodes[t])
+                tree = compute_route(self.topo, self.logic, flow)
+                if flow.dest not in tree.delivered:
+                    raise UnreachableDestinationError(
+                        f"flow {flow} is not delivered: dropped at "
+                        f"{tree.dropped_at}, delivered to {sorted(tree.delivered)}"
+                    )
+        if cyclic:  # pragma: no cover - compute_route raised
+            raise RouteLoopError(
+                f"the routes to {[self.nodes[t] for t in chunk]} loop"
+            )
 
     def hops(self) -> List[Tuple[int, int]]:
         """The sorted distinct ``(cid, next cid)`` hops walked so far."""

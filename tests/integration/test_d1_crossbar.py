@@ -14,7 +14,7 @@ from repro.core import (
     analyze_deadlock_freedom,
     compute_route,
 )
-from repro.core.ordering import certify_deadlock_freedom
+from repro.core.ordering import build_certificate
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 from repro.topology import FullCrossbar
 from tests.conftest import make_logic
@@ -54,7 +54,7 @@ class TestSafety:
     def test_deadlock_free_with_broadcasts(self, xbar):
         logic = make_logic(xbar)
         assert analyze_deadlock_freedom(xbar, logic).deadlock_free
-        cert = certify_deadlock_freedom(xbar, logic)
+        cert = build_certificate(xbar, logic)
         assert cert.num_flows_verified == 6 * 5 + 6
 
     def test_simulated_full_permutation_plus_broadcast(self, xbar):

@@ -101,6 +101,16 @@ class TestCommands:
         assert rc == 0
         assert "TOLERATED" in out
 
+    @pytest.mark.parametrize(
+        "extra", [["--fault", "rtr:0,0"], ["--broadcast", "naive"]]
+    )
+    def test_census_rejects_options_it_does_not_read(self, extra):
+        """The census places its own faults and always certifies the
+        serialized facility, so it takes neither option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--shape", "3x2"] + extra)
+        assert exc.value.code == 2
+
     def test_census_pairs(self, capsys):
         rc = main(["census", "--shape", "3x2", "--pairs", "--max-sets", "10"])
         out = capsys.readouterr().out
