@@ -14,14 +14,13 @@ reductions:
   flits by a flag-matrix reduction (per-tail delivery bookkeeping stays
   scalar: deliveries are rare relative to flit moves);
 * **route** filters the candidate mask down to genuinely unrouted headers
-  with vector comparisons, then resolves them through the adapter's batch
-  lookup (:func:`~repro.sim.adapter.decide_batch`, memo-first);
-* **grant** resolves each crossbar's input-port conflicts with a
-  first-request-per-output ``np.unique`` reduction instead of the
-  per-:class:`~repro.sim.fabric.PendingRequest` Python loop (the scalar
-  sequential grant is equivalent to it for single-output ``"all"``-policy
-  requests, the only kind the vector path accepts; adaptive ``"any"``
-  requests drop the cycle's grant phase to an exact scalar loop);
+  and gathers their decisions from the adapter's table over ``(switch, RC
+  bit, what the rule reads of the destination)``, read off per-flit
+  ``buf_dst`` / ``buf_rc`` columns; misses go to ``adapter.decide``;
+* **grant** keeps the requests as rows of one array in arrival order and
+  gives each free output to its first requester with one ``np.unique``
+  (the scalar sequential grant, for single-output ``"all"`` requests);
+  an adaptive ``"any"`` request takes the cycle to an exact sequential loop;
 * **transfer** moves one flit per established connection with fancy-indexed
   ring-buffer pops and pushes.  The scalar engine iterates connections in
   dict insertion order, and that order is observable: a connection whose
@@ -67,14 +66,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.packet import FlitKind
-from .adapter import decide_batch
+from ..core.packet import RC, FlitKind
+from ..core.switch_logic import RoutingError
+from .adapter import DecisionTable
 from .fabric import Connection, InFlightPacket, PendingRequest, SimFlit
 
 _HEAD = int(FlitKind.HEAD)
 _BODY = int(FlitKind.BODY)
 _TAIL = int(FlitKind.TAIL)
 _HEAD_TAIL = int(FlitKind.HEAD_TAIL)
+#: columns of ``SoAKernel.pend`` (one row per request, in arrival order);
+#: ``_OUT`` is -1 for an adaptive request, ``_DEC`` indexes ``table.decs``
+_PID, _CIN, _OUT, _DEC, _ARR = range(5)
 
 #: hooks whose subscribers need the scalar engine's per-event call sites
 SCALAR_HOOKS: Tuple[str, ...] = (
@@ -86,22 +89,6 @@ SCALAR_HOOKS: Tuple[str, ...] = (
     "deliver",
     "log",
 )
-
-
-class _PendRec:
-    """A pending grant request in kernel form (keeps the decision object
-    so :meth:`SoAKernel.sync_out` can rebuild the exact
-    :class:`PendingRequest`)."""
-
-    __slots__ = ("pid", "cin", "wanted", "decision", "arrived")
-
-    def __init__(self, pid, cin, wanted, decision, arrived) -> None:
-        self.pid = pid
-        self.cin = cin
-        #: VCKey tuple, engine format (vc is always 0 here)
-        self.wanted = wanted
-        self.decision = decision
-        self.arrived = arrived
 
 
 class SoAKernel:
@@ -142,6 +129,9 @@ class SoAKernel:
         self.buf_pid = np.zeros((V, self.cap), dtype=np.int64)
         self.buf_kind = np.zeros((V, self.cap), dtype=np.int64)
         self.buf_seq = np.zeros((V, self.cap), dtype=np.int64)
+        # a head flit's destination (a PE slot) and RC bit
+        self.buf_dst = np.zeros((V, self.cap), dtype=np.int32)
+        self.buf_rc = np.zeros((V, self.cap), dtype=np.int8)
         self.buf_start = np.zeros(V, dtype=np.int64)
         self.buf_len = np.zeros(V, dtype=np.int64)
         self.owner = np.full(V, -1, dtype=np.int64)
@@ -163,9 +153,11 @@ class SoAKernel:
         self.ic_len = np.zeros(P, dtype=np.int64)
         self.ic_order = np.zeros(P, dtype=np.int64)
         self.ic_started = np.zeros(P, dtype=np.int64)
+        self.ic_dst = np.zeros(P, dtype=np.int32)
+        self.ic_rc = np.zeros(P, dtype=np.int8)
         self.ic_packet: List[Optional[object]] = [None] * P
-        self.pending: List[_PendRec] = []
-        self.any_count = 0
+        self.pend = np.zeros((0, 5), dtype=np.int64)
+        self.table: Optional[DecisionTable] = None
         self.hdr_by_pid: dict = {}
         self.order_counter = 0
         self.nconns = 0
@@ -212,6 +204,8 @@ class SoAKernel:
                     self.buf_seq[cid, j] = flit.seq
                     if flit.header is not None:
                         self.hdr_by_pid[flit.pid] = flit.header
+                        self.buf_dst[cid, j] = self.pe_slot[flit.header.dest]
+                        self.buf_rc[cid, j] = flit.header.rc
                 self.buf_len[cid] = len(vc.buffer)
         # ---- candidate masks
         self.route_cand[:] = False
@@ -241,6 +235,8 @@ class SoAKernel:
                 self.ic_order[p] = idx
                 self.ic_started[p] = conn.started_at
                 self.ic_packet[p] = inf.packet
+                self.ic_dst[p] = self.pe_slot[inf.packet.header.dest]
+                self.ic_rc[p] = inf.packet.header.rc
                 self.hdr_by_pid.setdefault(conn.pid, inf.packet.header)
             else:
                 cid = conn.cin[0]
@@ -251,14 +247,12 @@ class SoAKernel:
                 self.fc_started[cid] = conn.started_at
         self.order_counter = len(eng.connections)
         self.nconns = len(eng.connections)
-        # ---- pending requests
-        self.pending = [
-            _PendRec(r.pid, r.cin[0], r.wanted, r.decision, r.arrived_at)
-            for r in eng.pending
-        ]
-        self.any_count = sum(
-            1 for r in self.pending if r.decision.policy == "any"
-        )
+        # ---- pending requests, indexing the decisions of the (current) table
+        table = getattr(eng.adapter, "table", None)
+        tab = self.table = table() if table else self.table or DecisionTable(eng.topo)
+        decs = [tab.intern(r.element, r.decision, r.wanted) for r in eng.pending]
+        rows = [(r.pid, r.cin[0], tab.out[d], d, r.arrived_at) for r, d in zip(eng.pending, decs)]
+        self.pend = np.array(rows, dtype=np.int64).reshape(-1, 5)
         self.busy_delta[:] = 0
         self.flit_moves = eng.flit_moves
         self.last_progress = eng._last_progress
@@ -270,7 +264,6 @@ class SoAKernel:
         byte-identical to what the scalar drivers would hold."""
         eng = self.eng
         cap = self.cap
-        hdr = self.hdr_by_pid
         for (cid, _), vc in eng.vcs.items():
             o = self.owner[cid]
             vc.owner = None if o < 0 else int(o)
@@ -287,7 +280,7 @@ class SoAKernel:
                         pid=pid,
                         kind=kind,
                         seq=int(self.buf_seq[cid, s]),
-                        header=hdr.get(pid)
+                        header=self._header(pid, int(self.buf_rc[cid, s]))
                         if kind in (FlitKind.HEAD, FlitKind.HEAD_TAIL)
                         else None,
                     )
@@ -336,16 +329,17 @@ class SoAKernel:
         eng.connections.clear()
         for _, conn in sorted(conns, key=lambda t: t[0]):
             eng.connections[(conn.element, conn.cin)] = conn
+        decs = self.table.decs
         eng.pending = [
             PendingRequest(
-                pid=r.pid,
-                element=self.el_of[r.cin],
-                cin=(r.cin, 0),
-                decision=r.decision,
-                wanted=r.wanted,
-                arrived_at=r.arrived,
+                pid=pid,
+                element=self.el_of[cin],
+                cin=(cin, 0),
+                decision=decs[d],
+                wanted=self._wanted(self.el_of[cin], decs[d]),
+                arrived_at=arrived,
             )
-            for r in self.pending
+            for pid, cin, _, d, arrived in self.pend.tolist()
         ]
         eng._pending_by_cin = {r.cin for r in eng.pending}
         eng._route_candidates = {
@@ -410,7 +404,7 @@ class SoAKernel:
         if (
             eng.in_flight
             or self.nconns
-            or self.pending
+            or len(self.pend)
             or eng._nonempty_sources
         ):
             return False
@@ -483,165 +477,110 @@ class SoAKernel:
         if cand.size == 0:
             return None
         eng = self.eng
-        pids = self.buf_pid[cand, self.buf_start[cand]]
-        cand_l = cand.tolist()
-        pids_l = pids.tolist()
-        hdr = self.hdr_by_pid
-        queries = [
-            (self.el_of[cid], self.chan_src[cid], 0, hdr[pid])
-            for cid, pid in zip(cand_l, pids_l)
-        ]
+        tab = self.table
+        s = self.buf_start[cand]
+        pids = self.buf_pid[cand, s]
+        rcs = self.buf_rc[cand, s]
+        idx, ent = tab.lookup(cand, rcs, self.buf_dst[cand, s])
+        dec = ent.astype(np.int64)
+        slow = np.flatnonzero(dec < 0).tolist()
+        # misses and entries by hand go to the adapter one by one in candidate
+        # order, as the scalar route asks; nothing is committed until every
+        # decision checks out, and a bail leaves the adapter as it was found
+        mark = tab.count_hits(cand.size - len(slow))
+        filled, drops, reason = [], [], None
         try:
-            decisions = decide_batch(eng.adapter, queries)
-        except Exception as exc:
-            from ..core.switch_logic import RoutingError
-
-            if isinstance(exc, RoutingError):
-                # decisions are pure: the scalar route phase will hit the
-                # same error and run the unroutable-packet kill path
-                return "unroutable packet (online reconfiguration)"
-            raise
-        # one pass, nothing committed until every decision checks out --
-        # a bail mid-batch must leave the fabric untouched (only the
-        # wanted memo fills in, and that is a pure topology cache)
-        cycle = eng.cycle
-        memo = eng._wanted_memo
-        el_of = self.el_of
-        new_recs: List[_PendRec] = []
-        new_any = 0
-        drops: List[Tuple[int, int]] = []
-        for cid, pid, d in zip(cand_l, pids_l, decisions):
-            if d.drop:
-                drops.append((cid, pid))
-                continue
-            if d.serialize:
-                return "serialized (S-XB) decision"
-            if d.policy != "any":
-                if len(d.outputs) != 1:
-                    return "multicast decision"
-            elif not d.outputs:
-                return "adaptive decision with no outputs"
-            el = el_of[cid]
-            wkey = (el, d.outputs)
-            wanted = memo.get(wkey)
-            if wanted is None:
-                wanted = tuple(
-                    (eng.topo.channel(el, out_el).cid, out_vc)
-                    for out_el, out_vc in d.outputs
-                )
-                memo[wkey] = wanted
-            new_recs.append(_PendRec(pid, cid, wanted, d, cycle))
-            if d.policy == "any":
-                new_any += 1
-        for cid, pid in drops:
-            self.fc_alive[cid] = True
-            self.fc_pid[cid] = pid
-            self.fc_cout[cid] = -1
-            self.fc_order[cid] = self.order_counter
-            self.order_counter += 1
-            self.fc_started[cid] = cycle
-            self.nconns += 1
-            inf = eng.in_flight.get(pid)
-            if inf is not None:
+            for j in slow:
+                cid = int(cand[j])
+                el, src = self.el_of[cid], self.chan_src[cid]
+                header = self._header(int(pids[j]), int(rcs[j]))
+                d = eng.adapter.decide(el, src, 0, header)
+                if d.drop:
+                    drops.append(j)
+                elif reason is None:
+                    reason = _unsupported(d)
+                    if reason is None:
+                        i = int(idx[j]) if ent[j] == tab.UNFILLED else -1
+                        dec[j] = tab.intern(el, d, self._wanted(el, d), i, src, header)
+                        if i >= 0:
+                            filled.append(i)
+        except RoutingError:  # the scalar route runs the unroutable-packet kill path
+            reason = "unroutable packet (online reconfiguration)"
+        if reason is not None:
+            tab.rewind(mark, filled)
+            return reason
+        if drops:
+            self._connect(cand[drops], pids[drops], -1)
+            for inf in filter(None, map(eng.in_flight.get, pids[drops].tolist())):
                 inf.dropped = True
-        self.pending.extend(new_recs)
-        self.any_count += new_any
         self.route_cand[cand] = False
-        if new_recs:
-            self.pend_cin[
-                np.fromiter(
-                    (r.cin for r in new_recs), np.int64, count=len(new_recs)
-                )
-            ] = True
+        req = dec >= 0
+        if req.any():
+            d = dec[req]
+            new = (pids[req], cand[req], tab.out[d], d, np.full(d.size, eng.cycle))
+            self.pend = np.concatenate((self.pend, np.stack(new, axis=1)))
+            self.pend_cin[cand[req]] = True
         return None
 
     def phase_grant(self) -> None:
-        pend = self.pending
-        if not pend:
+        pend = self.pend
+        if not len(pend):
             return
-        if self.any_count == 0:
+        outs = pend[:, _OUT]
+        owner = self.owner
+        if (outs >= 0).all():
             # every request is single-output "all": the sequential scan
             # grants each free output to its first requester in arrival
             # order, which is exactly the first-occurrence reduction
-            outs = np.fromiter(
-                (r.wanted[0][0] for r in pend), dtype=np.int64, count=len(pend)
-            )
-            free = self.owner[outs] == -1
-            if not free.any():
-                return
-            idx_free = np.nonzero(free)[0]
-            _, first = np.unique(outs[idx_free], return_index=True)
-            win = idx_free[first]
-            win.sort()  # establishment (and fc_order) in arrival order
-            wl = win.tolist()
-            wrecs = [pend[i] for i in wl]
-            n = len(wrecs)
-            cins = np.fromiter((r.cin for r in wrecs), np.int64, count=n)
-            pids = np.fromiter((r.pid for r in wrecs), np.int64, count=n)
-            wouts = outs[win]
-            self.owner[wouts] = pids
-            self.fc_alive[cins] = True
-            self.fc_pid[cins] = pids
-            self.fc_cout[cins] = wouts
-            self.fc_order[cins] = self.order_counter + np.arange(n)
-            self.order_counter += n
-            self.fc_started[cins] = self.eng.cycle
-            self.pend_cin[cins] = False
-            self.nconns += n
-            self.last_progress = self.eng.cycle
-            hdrs = self.hdr_by_pid
-            for r in wrecs:
-                h = hdrs[r.pid]
-                rc = r.decision.rc
-                if h.rc != rc:
-                    # the switch rewrites the RC bit as the header passes
-                    hdrs[r.pid] = h.with_rc(rc)
-            if n == len(pend):
-                self.pending = []
-            else:
-                wset = set(wl)
-                self.pending = [
-                    r for i, r in enumerate(pend) if i not in wset
-                ]
+            free = np.flatnonzero(owner[outs] == -1)
+            _, first = np.unique(outs[free], return_index=True)
+            win = np.sort(free[first])
+            wout = outs[win]
+        else:
+            # adaptive requests: the sequential scan, each grant seen by the next
+            win, wout, decs = [], [], self.table.decs
+            for i, (pid, cin, out, d, _) in enumerate(pend.tolist()):
+                if out < 0:
+                    wanted = self._wanted(self.el_of[cin], decs[d])
+                    out = next((c for c, _ in wanted if owner[c] == -1), -1)
+                if out >= 0 and owner[out] == -1:
+                    owner[out] = pid
+                    win.append(i)
+                    wout.append(out)
+        if not len(win):
             return
-        # adaptive requests present: exact scalar sequential grant
-        owner = self.owner
-        remaining = []
-        for rec in pend:
-            if rec.decision.policy == "any":
-                chosen = next(
-                    (k[0] for k in rec.wanted if owner[k[0]] == -1), None
-                )
-                if chosen is None:
-                    remaining.append(rec)
-                    continue
-                rec.wanted = ((chosen, 0),)
-                self.any_count -= 1
-                self._establish(rec, chosen)
-            else:
-                out = rec.wanted[0][0]
-                if owner[out] == -1:
-                    self._establish(rec, out)
-                else:
-                    remaining.append(rec)
-        self.pending = remaining
-
-    def _establish(self, rec: _PendRec, out: int) -> None:
-        self.owner[out] = rec.pid
-        hdr = self.hdr_by_pid[rec.pid]
-        if hdr.rc != rec.decision.rc:
-            # the switch rewrites the RC bit as the header passes
-            self.hdr_by_pid[rec.pid] = hdr.with_rc(rec.decision.rc)
-        cin = rec.cin
-        self.fc_alive[cin] = True
-        self.fc_pid[cin] = rec.pid
-        self.fc_cout[cin] = out
-        self.fc_order[cin] = self.order_counter
-        self.order_counter += 1
-        self.fc_started[cin] = self.eng.cycle
-        self.nconns += 1
-        self.pend_cin[cin] = False
+        w = pend[win]
+        cins = w[:, _CIN]
+        owner[wout] = w[:, _PID]
+        self._connect(cins, w[:, _PID], wout)
+        self.pend_cin[cins] = False
         self.last_progress = self.eng.cycle
+        # the switch rewrites the RC bit as the header passes
+        self.buf_rc[cins, self.buf_start[cins]] = self.table.rc[w[:, _DEC]]
+        self.pend = np.delete(pend, win, axis=0)
+
+    def _connect(self, cins, pids, outs) -> None:
+        """Connect inputs ``cins`` to ``outs`` (-1: drop), in this order."""
+        n = len(cins)
+        self.fc_alive[cins] = True
+        self.fc_pid[cins] = pids
+        self.fc_cout[cins] = outs
+        self.fc_order[cins] = self.order_counter + np.arange(n)
+        self.order_counter += n
+        self.fc_started[cins] = self.eng.cycle
+        self.nconns += n
+
+    def _header(self, pid: int, rc: int):
+        """Packet ``pid``'s header with RC bit ``rc`` (kept in :attr:`buf_rc`)."""
+        h = self.hdr_by_pid.get(pid)
+        return h if h is None or h.rc == rc else h.with_rc(RC(rc))
+
+    def _wanted(self, el, d) -> tuple:
+        """Decision ``d``'s output channels at ``el``, memoized on the engine."""
+        key, memo = (el, d.outputs), self.eng._wanted_memo
+        if key not in memo:
+            memo[key] = tuple((self.eng.topo.channel(el, o).cid, vc) for o, vc in d.outputs)
+        return memo[key]
 
     def phase_transfer(self) -> None:
         f = np.nonzero(self.fc_alive)[0]
@@ -733,6 +672,8 @@ class SoAKernel:
         v_pid = self.buf_pid[fm, s]
         v_kind = self.buf_kind[fm, s]
         v_seq = self.buf_seq[fm, s]
+        v_dst = self.buf_dst[fm, s]
+        v_rc = self.buf_rc[fm, s]
         self.buf_start[fm] = (s + 1) % cap
         self.buf_len[fm] -= 1
         d = self.fc_cout[fm]
@@ -743,6 +684,8 @@ class SoAKernel:
             self.buf_pid[dp, slot] = v_pid[push]
             self.buf_kind[dp, slot] = v_kind[push]
             self.buf_seq[dp, slot] = v_seq[push]
+            self.buf_dst[dp, slot] = v_dst[push]
+            self.buf_rc[dp, slot] = v_rc[push]
             self.buf_len[dp] += 1
             self.busy_delta[dp] += 1
             kp = v_kind[push]
@@ -789,6 +732,8 @@ class SoAKernel:
         self.buf_pid[d, slot] = self.ic_pid[im]
         self.buf_kind[d, slot] = kind
         self.buf_seq[d, slot] = seq
+        self.buf_dst[d, slot] = self.ic_dst[im]
+        self.buf_rc[d, slot] = self.ic_rc[im]
         self.buf_len[d] += 1
         self.busy_delta[d] += 1
         headish = (kind == _HEAD) | (kind == _HEAD_TAIL)
@@ -838,6 +783,8 @@ class SoAKernel:
             self.order_counter += 1
             self.ic_started[p] = eng.cycle
             self.ic_packet[p] = packet
+            self.ic_dst[p] = self.pe_slot[packet.header.dest]
+            self.ic_rc[p] = packet.header.rc
             self.nconns += 1
             self.hdr_by_pid[packet.pid] = packet.header
             eng.in_flight[packet.pid] = InFlightPacket(
@@ -846,6 +793,15 @@ class SoAKernel:
             )
             eng.injected += 1
             self.last_progress = eng.cycle
+
+
+def _unsupported(d) -> Optional[str]:
+    """Why the kernel cannot hold decision ``d`` as a request, or None."""
+    if d.serialize:
+        return "serialized (S-XB) decision"
+    if d.policy != "any":
+        return None if len(d.outputs) == 1 else "multicast decision"
+    return None if d.outputs else "adaptive decision with no outputs"
 
 
 def _flit_kind(seq: int, length: int) -> FlitKind:

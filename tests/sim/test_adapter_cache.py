@@ -4,7 +4,7 @@ metrics."""
 
 import pytest
 
-from repro.core import Fault, Header, Packet, SwitchLogic, make_config
+from repro.core import RC, Fault, Header, Packet, SwitchLogic, make_config
 from repro.core.switch_logic import RoutingError
 from repro.obs import CollectorSuite, RouteCacheStats
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig, SimDecision
@@ -213,3 +213,64 @@ class TestMetricsExport:
         stats = RouteCacheStats().attach(sim)
         sim.run(max_cycles=5, until_drained=False)
         assert stats.metrics().to_dict() == {}
+
+
+# -- the kernel's decision table ---------------------------------------------------
+@pytest.mark.parametrize(
+    "shape, faults",
+    [
+        ((4, 3), ()),
+        ((3, 3, 2), ()),
+        ((4, 4), (Fault.router((1, 2)),)),
+        ((4, 4), (Fault.crossbar(1, (2,)),)),
+    ],
+    ids=["4x3", "3x3x2", "4x4-rtr", "4x4-xb"],
+)
+def test_table_entries_are_decision_keys(shape, faults):
+    """Every header on every channel into a switch (each destination and
+    RC bit): two states share a filled table entry exactly when their
+    ``decision_key``s are equal, and the entry holds the adapter's
+    decision for each of them.  Entries fill from the first state that
+    reaches them, in the kernel's way; a faulty port's ``None`` key and
+    a key naming the input port leave their entry to be decided by
+    hand."""
+    import numpy as np
+
+    topo = MDCrossbar(shape)
+    adapter = MDCrossbarAdapter(SwitchLogic(topo, make_config(shape, faults=faults)))
+    table = adapter.table()
+    nodes = topo.node_coords()
+    states = [
+        (ch, slot, rc)
+        for ch in topo.channels()
+        if ch.dst[0] in ("RTR", "XB")
+        for slot in range(len(nodes))
+        for rc in RC
+    ]
+    idx, _ = table.lookup(
+        np.array([ch.cid for ch, _, _ in states]),
+        np.array([rc for _, _, rc in states]),
+        np.array([slot for _, slot, _ in states]),
+    )
+    decided = []
+    for (ch, slot, rc), i in zip(states, idx.tolist()):
+        el, src = ch.dst, ch.src
+        header = Header(source=nodes[slot], dest=nodes[slot], rc=rc)
+        try:
+            d = adapter.decide(el, src, 0, header)
+        except RoutingError:
+            continue  # so does every state of its key
+        if table.entry[i] == table.UNFILLED:
+            wanted = tuple((topo.channel(el, o).cid, vc) for o, vc in d.outputs)
+            table.intern(el, d, wanted, i, src, header)
+        decided.append((i, adapter.logic.decision_key(el, src, header), d))
+    pairs = {(i, key) for i, key, _ in decided if table.entry[i] >= 0}
+    assert len({i for i, _ in pairs}) == len(pairs) == len({k for _, k in pairs})
+    for i, _, d in decided:
+        if table.entry[i] >= 0:
+            assert table.decs[table.entry[i]] == d
+    filled_states = sum(1 for i, _, _ in decided if table.entry[i] >= 0)
+    assert filled_states > len(pairs)  # entries are shared
+    hand = {key for i, key, _ in decided if table.entry[i] == table.HAND}
+    assert any(key is not None and key[1] is RC.BROADCAST for key in hand)
+    assert (None in hand) == any(f.kind.name == "ROUTER" for f in faults)
