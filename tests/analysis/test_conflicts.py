@@ -16,6 +16,8 @@ from repro.analysis import (
     summarize_conflicts,
 )
 from repro.analysis.properties import route_stats
+from repro.core.config import ConfigError
+from repro.core.multifault import all_single_faults
 from repro.routing import get_scheme, make_scheme, scheme_names
 from repro.traffic import KERNELS, compare_topologies
 
@@ -100,6 +102,30 @@ def _shape_id(shape) -> str:
     return "x".join(map(str, shape))
 
 
+def dependency_edge_digests():
+    """The sha256 of every scheme's ``dependency_edges()`` set on its
+    bench and doctor shapes, fault-free and, where the scheme models
+    faults, under every single fault."""
+    digests = {}
+    for name in scheme_names():
+        cls = get_scheme(name)
+        for shape in sorted({cls.bench_shape, cls.doctor_shape}):
+            faults = all_single_faults(shape) if cls.supports_faults else []
+            for fault in [None, *faults]:
+                case = f"{name} {_shape_id(shape)} | {fault or 'fault-free'}"
+                try:
+                    scheme = make_scheme(name, shape, faults=[fault] if fault else ())
+                except ConfigError as e:
+                    digests[case] = {"config_error": str(e)}
+                    continue
+                edges = sorted(scheme.dependency_edges())
+                digests[case] = {
+                    "edges": len(edges),
+                    "sha256": hashlib.sha256(json.dumps(edges).encode()).hexdigest(),
+                }
+    return digests
+
+
 def route_golden():
     """Every value ``routes_golden.json`` pins, keyed as in the file."""
     counts = {}
@@ -123,6 +149,7 @@ def route_golden():
                 (4, 4), samples=8, seed=3, include=ALL_KINDS
             )
         ),
+        "dependency_edges": dependency_edge_digests(),
         "embeddings": {
             guest: r.row() for guest, r in check_all_embeddings((4, 4)).items()
         },
@@ -140,8 +167,10 @@ def route_golden():
 class TestRouteGolden:
     """Channel route counts, permutation conflicts, embeddings, kernel
     rows and scheme path statistics, recorded while each analysis still
-    built its own networks and walked its own routes.  A change in how a
-    network kind is resolved or a route is walked fails here."""
+    built its own networks and walked its own routes, and every scheme's
+    dependency-edge set, recorded while ``dependency_edges`` was its own
+    per-destination walk.  A change in how a network kind is resolved or
+    a route or a dependency is walked fails here."""
 
     @pytest.fixture(scope="class")
     def now(self):

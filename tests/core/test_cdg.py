@@ -28,7 +28,7 @@ from repro.core.cdg import ChannelDependencyGraph
 from repro.core.config import BroadcastMode, ConfigError, DetourScheme
 from repro.core.multifault import all_single_faults
 from repro.core.packet import RC
-from repro.core.routes import RouteLoopError, Unicast, unicast_pairs
+from repro.core.routes import RouteLoopError, Unicast, unicast_hops, unicast_pairs
 from repro.core.switch_logic import Decision, RoutingError, UnreachableDestinationError
 from repro.topology import MDCrossbar, pe, rtr, xb
 from tests.conftest import make_logic
@@ -574,6 +574,31 @@ def subset_cases(shape):
     ]
 
 
+#: the array walk at a selector range of 8 (8x8x4): fault-free, one
+#: router and one crossbar fault, under both detour schemes
+HOPS_SHAPE = (8, 8, 4)
+HOPS_FAULTS = (None, Fault.router((3, 5, 2)), Fault.crossbar(1, (2, 1)))
+
+
+def hops_cases():
+    """``(case id, fault, detour scheme)`` per ``unicast_hops`` row."""
+    name = "x".join(map(str, HOPS_SHAPE))
+    return [
+        (f"{name} | {fault or 'fault-free'} | {scheme.value}", fault, scheme)
+        for fault in HOPS_FAULTS
+        for scheme in DetourScheme
+    ]
+
+
+def hops_row(topo, fault, scheme):
+    """What :func:`unicast_hops` returns for every pair of one
+    configuration: the flow count, the held-channel count and a digest
+    of the hops."""
+    logic = make_logic(topo, fault=fault, detour_scheme=scheme)
+    flows, cids, hops = unicast_hops(topo, logic)
+    return {"flows": flows, "held": len(cids), "hops": _digest(hops)}
+
+
 class TestCertificateGolden:
     """Verdicts, hazard witnesses, ``succ`` and the route trees of every
     configuration in ``cdg_golden.json``, recorded before the decision
@@ -581,7 +606,9 @@ class TestCertificateGolden:
     through the cached ``decide``, so a cache key that is too narrow
     fails here independently of the laws in ``test_switch_logic.py``.
     The ``unicast_subsets`` rows, recorded before the spread was shared
-    by reference, hold the serialized mode's tier-2 witnesses."""
+    by reference, hold the serialized mode's tier-2 witnesses; the
+    ``unicast_hops`` rows, recorded while the array walk kept its own
+    decision table, hold its hops on 8x8x4."""
 
     @pytest.mark.parametrize(
         "shape", SUBSET_SHAPES, ids=lambda s: "x".join(map(str, s))
@@ -596,6 +623,14 @@ class TestCertificateGolden:
         ]
         for case_id, fault, stride in cases:
             assert subset_certificate(topo, fault, stride) == golden[case_id], case_id
+
+    def test_unicast_hops_unchanged(self):
+        topo = MDCrossbar(HOPS_SHAPE)
+        cases = hops_cases()
+        golden = GOLDEN["unicast_hops"]
+        assert [case_id for case_id, *_ in cases] == list(golden)
+        for case_id, fault, scheme in cases:
+            assert hops_row(topo, fault, scheme) == golden[case_id], case_id
 
     @pytest.mark.parametrize(
         "shape", list(GOLDEN_SHAPES), ids=lambda s: "x".join(map(str, s))
