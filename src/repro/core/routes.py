@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from ..topology.base import Channel, ElementId, element_kind, ElementKind, Topology
 from .coords import Coord
+from .decision_table import DecisionTable
 from .packet import RC, Header
 from .switch_logic import Decision, RoutingError, UnreachableDestinationError
 
@@ -380,10 +381,6 @@ def unicast_hops(
 #: states one chunk of :class:`_HopWalk` addresses (its ``local`` array):
 #: 8 destinations of 16x16x8 at a time, every destination of 6x6
 _CHUNK_STATES = 1 << 19
-#: :class:`_HopWalk` table entries: not filled yet, decided state by
-#: state, or a decision with no output; a filled entry is
-#: ``next cid * len(RC) + next rc``
-_UNFILLED, _SCALAR, _NO_OUTPUT = -1, -2, -3
 
 
 class _HopWalk:
@@ -391,34 +388,27 @@ class _HopWalk:
 
     A state is ``(dest, cid, rc)``: a packet for ``dest`` that holds
     channel ``cid`` with RC bit ``rc``.  One step of every state of a
-    chunk is a table lookup: the next state is ``out[el, rc, sel]``,
-    ``el`` the element the channel enters and ``sel`` the part of the
-    destination its rule reads (:meth:`selectors`, DESIGN.md 5l).  An
-    entry is filled from the first state that reaches it, by one
-    ``decision_key`` + ``decide`` call (:meth:`fill`).  It is decided
-    state by state instead (:meth:`scalar`) when the key is ``None`` or
-    names the input port, when the decision has more than one output, or
-    when the relation has no ``decision_key``.
+    chunk is a lookup in the relation's :class:`DecisionTable`: the entry
+    ``(row, rc, sel)``, ``row`` the switch the channel enters and ``sel``
+    the part of the destination its rule reads (DESIGN.md 5l), holds a
+    decision whose ``out`` / ``rc`` are the next channel and RC bit.  An
+    entry is filled from the first state that reaches it (:meth:`fill`);
+    the states of an entry the table keeps by hand are decided one by one
+    (:meth:`scalar`).
     """
 
     def __init__(self, np, topo: Topology, logic: RouteRelation, pairs) -> None:
         self.np, self.topo, self.logic, self.pairs = np, topo, logic, pairs
         self.R = R = len(RC)
-        self.elements = elements = topo.elements()
-        index = {el: i for i, el in enumerate(elements)}
         self.chans = chans = topo.channels()
         self.C = C = len(chans)
-        self.dst = np.fromiter((index[c.dst] for c in chans), np.int64, C)
-        self.is_pe = np.array([el[0] == "PE" for el in elements])
         self.nodes = nodes = topo.node_coords()
         node_of = {c: i for i, c in enumerate(nodes)}
         self.inj = np.array(
             [topo.injection_channel(c).cid for c in nodes], np.int64
         )
-        #: the element of each node's own PE
-        self.pe_el = np.array(
-            [index[topo.injection_channel(c).src] for c in nodes], np.int64
-        )
+        #: the channel into each node's own PE
+        self.ej = np.array([topo.ejection_channel(c).cid for c in nodes], np.int64)
         dead = np.zeros(len(nodes), bool)
         dead[[node_of[c] for c in relation_dead_nodes(logic)]] = True
 
@@ -443,35 +433,15 @@ class _HopWalk:
             self.dests = self.t_idx[first]  # in order of first appearance
             self.first_source[self.dests] = self.s_idx[first]
 
-        self.key_of = getattr(logic, "decision_key", None)
-        self.S = 1
-        if self.key_of is not None:
-            cfg = logic.config
-            self.order = list(cfg.order)
-            self.rtr_rows = np.array(
-                [i for i, el in enumerate(elements) if el[0] == "RTR"], np.int64
-            )
-            self.xb_rows = np.array(
-                [i for i, el in enumerate(elements) if el[0] == "XB"], np.int64
-            )
-            self.rtr_coord = np.array(
-                [elements[i][1] for i in self.rtr_rows], np.int64
-            ).reshape(len(self.rtr_rows), len(self.order))
-            self.xb_dim = np.array(
-                [elements[i][1] for i in self.xb_rows], np.int64
-            )
-            self.dxb = index[cfg.dxb_element]
-            self.S = max(len(self.order) + 1, *topo.shape)
-        empty = _SCALAR if self.key_of is None else _UNFILLED
-        self.tab = np.full(len(elements) * R * self.S, empty, np.int64)
+        self.table = DecisionTable(topo, logic)
         self.headers: Dict[Tuple[int, int], Header] = {}
         self.width = max(1, min(len(self.dests), _CHUNK_STATES // (C * R)))
         #: state -> its discovery index in the chunk being walked, or -1
         self.local = np.full(self.width * C * R, -1, np.int32)
         self.held = np.zeros(C, bool)
         #: ``cid * R * S + rc * S + sel``: a tabled step left channel
-        #: ``cid`` through table entry ``(dst(cid), rc, sel)``
-        self.left = np.zeros(C * R * self.S, bool)
+        #: ``cid`` through table entry ``(row(cid), rc, sel)``
+        self.left = np.zeros(C * R * self.table.S, bool)
         #: ``(cid, next cid)`` hops of the states decided one by one
         self.scalar_hops: List[Tuple[int, int]] = []
         #: states discovered so far in the chunk being walked
@@ -488,20 +458,15 @@ class _HopWalk:
             )
         return h
 
-    def fill(self, t: int, cid: int, rc: int) -> int:
-        """The table entry of destination node ``t``'s state ``(cid, rc)``,
-        from the relation."""
+    def fill(self, i: int, t: int, cid: int, rc: int) -> None:
+        """Fill table entry ``i`` from destination node ``t``'s state
+        ``(cid, rc)``, by the relation."""
         chan = self.chans[cid]
         el, in_from = chan.dst, chan.src
         h = self.header(t, rc)
-        key = self.key_of(el, in_from, h)
         decision = self.logic.decide(el, in_from, h)
-        if key is None or in_from in key or len(decision.outputs) > 1:
-            return _SCALAR  # the table cannot tell these states apart
-        if decision.drop or not decision.outputs:
-            return _NO_OUTPUT
-        out = self.topo.channel(el, decision.outputs[0])
-        return out.cid * self.R + decision.rc
+        wanted = [(self.topo.channel(el, o).cid, 0) for o in decision.outputs]
+        self.table.file(i, el, in_from, h, decision, wanted)
 
     def scalar(self, t: int, cid: int, rc: int) -> List[Tuple[int, int]]:
         """The ``(next cid, next rc)`` states of destination node ``t``'s
@@ -514,33 +479,6 @@ class _HopWalk:
         outs = [self.topo.channel(el, o).cid for o in decision.outputs]
         self.scalar_hops.extend((cid, o) for o in outs)
         return [(o, int(decision.rc)) for o in outs]
-
-    def selectors(self, chunk):
-        """``sel`` per (element, chunk destination), flat: a router reads
-        the position of the first dimension, in routing order, where it
-        differs from the destination (d: deliver); a crossbar reads the
-        destination's coordinate in its dimension."""
-        np, order = self.np, self.order
-        tc = np.array([self.nodes[t] for t in chunk], np.int64)
-        tc = tc.reshape(len(chunk), len(order))
-        sel = np.zeros((len(self.elements), len(chunk)), np.int64)
-        diff = self.rtr_coord[:, None, order] != tc[None, :, order]
-        sel[self.rtr_rows] = np.where(diff.any(2), diff.argmax(2), len(order))
-        sel[self.xb_rows] = tc[:, self.xb_dim].T
-        return sel.ravel()
-
-    def entries(self, sel_of, width: int, e, t, rc):
-        """Table index ``(el * len(RC) + rc) * S + sel`` of the states of
-        chunk-local destinations ``t`` entering elements ``e`` under
-        ``rc``; ``sel_of`` is the :meth:`selectors` of a chunk ``width``
-        destinations wide.  Only routers and crossbars in NORMAL, and the
-        D-XB in DETOUR, read their ``sel``; every other rule reads 0."""
-        k = e * self.R + rc
-        if sel_of is None:
-            return k
-        sel = sel_of[e * width + t]
-        sel[(rc != RC.NORMAL) & ((rc != RC.DETOUR) | (e != self.dxb))] = 0
-        return k * self.S + sel
 
     def roots(self, chunk):
         """Chunk-local destination and source node of every pair to
@@ -560,10 +498,11 @@ class _HopWalk:
         """Expand every state the pairs to ``chunk`` reach, recording the
         held channels and the hops; raise on a routing loop or a pair
         that is not delivered."""
-        np, C, R, S = self.np, self.C, self.R, self.S
-        dst, is_pe, tab, local = self.dst, self.is_pe, self.tab, self.local
-        sel_of = None if self.key_of is None else self.selectors(chunk)
-        home = self.pe_el[chunk]
+        np, C, R, tab, local = self.np, self.C, self.R, self.table, self.local
+        RS, T = R * tab.S, len(chunk)
+        # sel per (switch row, chunk destination), flat
+        sel_of = tab.selector(np.arange(len(tab.switches))[:, None], chunk).ravel()
+        home = self.ej[chunk]
         lost = False
         t, s = self.roots(chunk)
         cid = self.inj[s]
@@ -575,32 +514,29 @@ class _HopWalk:
         visited, arcs_from, arcs_to = [sid], [], []
         while t.size:
             self.held[cid] = True
-            e = dst[cid]
-            go = ~is_pe[e]
-            lost = lost or bool((e[~go] != home[t[~go]]).any())
-            t, cid, rc, sid, e = t[go], cid[go], rc[go], sid[go], e[go]
-            k = self.entries(sel_of, len(chunk), e, t, rc)
-            out = tab[k]
-            todo = np.flatnonzero(out == _UNFILLED)
+            rows = tab.row[cid]
+            go = rows >= 0
+            lost = lost or bool((cid[~go] != home[t[~go]]).any())
+            t, cid, rc, sid, rows = t[go], cid[go], rc[go], sid[go], rows[go]
+            k, ent = tab.lookup(rows, rc, sel_of[rows * T + t])
+            todo = np.flatnonzero(ent == tab.UNFILLED)
             if todo.size:
                 # one state per empty entry: the one whose mark stays
-                mark = -4 - np.arange(todo.size)
-                tab[k[todo]] = mark
-                p = todo[tab[k[todo]] == mark]
-                ks = k[p]
-                tab[ks] = [
+                mark = tab.HAND - 1 - np.arange(todo.size)
+                tab.entry[k[todo]] = mark
+                p = todo[tab.entry[k[todo]] == mark]
+                states = zip(
+                    k[p].tolist(), chunk[t[p]].tolist(), cid[p].tolist(), rc[p].tolist()
+                )
+                for state in states:
                     self.fill(*state)
-                    for state in zip(
-                        chunk[t[p]].tolist(), cid[p].tolist(), rc[p].tolist()
-                    )
-                ]
-                out = tab[k]
-            lost = lost or bool((out == _NO_OUTPUT).any())
-            step = np.flatnonzero(out >= 0)
-            self.left[(cid * (R * S) + k % (R * S))[step]] = True
-            nt, ncid, nrc = t[step], out[step] // R, out[step] % R
+                ent = tab.entry[k]
+            step = np.flatnonzero(ent >= 0)
+            self.left[(cid * RS + k % RS)[step]] = True
+            dec = ent[step]
+            nt, ncid, nrc = t[step], tab.out[dec], tab.rc[dec]
             frm = local[sid[step]]
-            by_hand = np.flatnonzero(out == _SCALAR)
+            by_hand = np.flatnonzero(ent == tab.HAND)
             if by_hand.size:
                 states = zip(
                     chunk[t[by_hand]].tolist(),
@@ -673,10 +609,10 @@ class _HopWalk:
 
     def hops(self) -> List[Tuple[int, int]]:
         """The sorted distinct ``(cid, next cid)`` hops walked so far."""
-        R, S = self.R, self.S
+        tab, RS = self.table, self.R * self.table.S
         left = self.np.flatnonzero(self.left)
-        cid = left // (R * S)
-        nxt = self.tab[self.dst[cid] * (R * S) + left % (R * S)] // R
+        cid = left // RS
+        nxt = tab.out[tab.entry[tab.row[cid] * RS + left % RS]]
         return sorted(set(zip(cid.tolist(), nxt.tolist())).union(self.scalar_hops))
 
 

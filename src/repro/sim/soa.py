@@ -66,9 +66,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..core.decision_table import DecisionTable
 from ..core.packet import RC, FlitKind
 from ..core.switch_logic import RoutingError
-from .adapter import DecisionTable
 from .fabric import Connection, InFlightPacket, PendingRequest, SimFlit
 
 _HEAD = int(FlitKind.HEAD)
@@ -481,17 +481,19 @@ class SoAKernel:
         s = self.buf_start[cand]
         pids = self.buf_pid[cand, s]
         rcs = self.buf_rc[cand, s]
-        idx, ent = tab.lookup(cand, rcs, self.buf_dst[cand, s])
+        rows = tab.row[cand]
+        idx, ent = tab.lookup(rows, rcs, tab.selector(rows, self.buf_dst[cand, s]))
         dec = ent.astype(np.int64)
         slow = np.flatnonzero(dec < 0).tolist()
         # misses and entries by hand go to the adapter one by one in candidate
         # order, as the scalar route asks; nothing is committed until every
         # decision checks out, and a bail leaves the adapter as it was found
-        mark = tab.count_hits(cand.size - len(slow))
+        count_hits = getattr(eng.adapter, "count_hits", None)  # the memo's
+        mark = count_hits and count_hits(cand.size - len(slow))
         filled, drops, reason = [], [], None
         try:
             for j in slow:
-                cid = int(cand[j])
+                cid, i = int(cand[j]), int(idx[j])
                 el, src = self.el_of[cid], self.chan_src[cid]
                 header = self._header(int(pids[j]), int(rcs[j]))
                 d = eng.adapter.decide(el, src, 0, header)
@@ -500,14 +502,18 @@ class SoAKernel:
                 elif reason is None:
                     reason = _unsupported(d)
                     if reason is None:
-                        i = int(idx[j]) if ent[j] == tab.UNFILLED else -1
-                        dec[j] = tab.intern(el, d, self._wanted(el, d), i, src, header)
-                        if i >= 0:
+                        wanted = self._wanted(el, d)
+                        if tab.entry[i] == tab.UNFILLED:
+                            tab.file(i, el, src, header, d, wanted)
                             filled.append(i)
+                        dec[j] = tab.entry[i]
+                        if dec[j] < 0:
+                            dec[j] = tab.intern(el, d, wanted)
         except RoutingError:  # the scalar route runs the unroutable-packet kill path
             reason = "unroutable packet (online reconfiguration)"
         if reason is not None:
-            tab.rewind(mark, filled)
+            if mark:
+                eng.adapter.rewind(mark, filled)
             return reason
         if drops:
             self._connect(cand[drops], pids[drops], -1)

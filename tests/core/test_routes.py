@@ -25,7 +25,8 @@ from repro.core.dimension_order import (
 )
 from repro.core.multifault import all_single_faults
 from repro.core.packet import Header
-from repro.core.routes import RouteLoopError, _HopWalk
+from repro.core.decision_table import DecisionTable
+from repro.core.routes import RouteLoopError
 from repro.core.switch_logic import UnreachableDestinationError
 from repro.topology import MDCrossbar, pe, rtr, xb
 from tests.conftest import make_logic
@@ -378,9 +379,10 @@ class TestSharedSpread:
 
 class TestHopWalkSelectors:
     """The array walk (``routes._HopWalk``) looks a state's next state up
-    at ``(el, rc, sel)``.  That index must never join two states that
-    :meth:`SwitchLogic.decision_key` tells apart: states with one index
-    have one key, or both ``None`` (DESIGN.md 5l)."""
+    in the :class:`DecisionTable` at ``(row, rc, sel)``.  That index must
+    never join two states that :meth:`SwitchLogic.decision_key` tells
+    apart: states with one index have one key, or both ``None``
+    (DESIGN.md 5l)."""
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3, 2), (2, 2, 2)])
     def test_one_entry_one_decision_key(self, shape):
@@ -407,9 +409,9 @@ class TestHopWalkSelectors:
                 except ConfigError:
                     continue
                 logic = SwitchLogic(topo, cfg)
-                walk = _HopWalk(np, topo, logic, None)
-                sel_of = walk.selectors(np.arange(len(nodes)))
-                entries = walk.entries(sel_of, len(nodes), walk.dst[cid], t, rc)
+                table = DecisionTable(topo, logic)
+                rows = table.row[cid]
+                entries, _ = table.lookup(rows, rc, table.selector(rows, t))
                 key_of, seen = logic.decision_key, {}
                 for k, (c, r, d) in zip(entries.tolist(), states):
                     key = key_of(chans[c].dst, chans[c].src, headers[r, d])

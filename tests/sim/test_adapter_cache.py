@@ -5,6 +5,7 @@ metrics."""
 import pytest
 
 from repro.core import RC, Fault, Header, Packet, SwitchLogic, make_config
+from repro.core.decision_table import DecisionTable
 from repro.core.switch_logic import RoutingError
 from repro.obs import CollectorSuite, RouteCacheStats
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig, SimDecision
@@ -238,7 +239,7 @@ def test_table_entries_are_decision_keys(shape, faults):
 
     topo = MDCrossbar(shape)
     adapter = MDCrossbarAdapter(SwitchLogic(topo, make_config(shape, faults=faults)))
-    table = adapter.table()
+    table = DecisionTable(topo, adapter.logic)
     nodes = topo.node_coords()
     states = [
         (ch, slot, rc)
@@ -247,10 +248,11 @@ def test_table_entries_are_decision_keys(shape, faults):
         for slot in range(len(nodes))
         for rc in RC
     ]
+    rows = table.row[np.array([ch.cid for ch, _, _ in states])]
     idx, _ = table.lookup(
-        np.array([ch.cid for ch, _, _ in states]),
+        rows,
         np.array([rc for _, _, rc in states]),
-        np.array([slot for _, slot, _ in states]),
+        table.selector(rows, np.array([slot for _, slot, _ in states])),
     )
     decided = []
     for (ch, slot, rc), i in zip(states, idx.tolist()):
@@ -262,7 +264,7 @@ def test_table_entries_are_decision_keys(shape, faults):
             continue  # so does every state of its key
         if table.entry[i] == table.UNFILLED:
             wanted = tuple((topo.channel(el, o).cid, vc) for o, vc in d.outputs)
-            table.intern(el, d, wanted, i, src, header)
+            table.file(i, el, src, header, d, wanted)
         decided.append((i, adapter.logic.decision_key(el, src, header), d))
     pairs = {(i, key) for i, key, _ in decided if table.entry[i] >= 0}
     assert len({i for i, _ in pairs}) == len(pairs) == len({k for _, k in pairs})
