@@ -3,8 +3,11 @@ and full-mesh decision rules, and full delivery under the single-fault
 enumeration (the e11-style acceptance bar for the fault-tolerant
 schemes)."""
 
+import re
+
 import pytest
 
+from repro.baselines.dor import TorusAdapter
 from repro.core import Fault, Header, Packet
 from repro.core.config import ConfigError
 from repro.core.multifault import all_single_faults
@@ -65,6 +68,20 @@ class TestZooCycleFreedom:
         shape = get_scheme(name).doctor_shape
         audit = make_scheme(name, shape, faults=(fault,)).check_cycle_free()
         assert audit.cycle_free, audit.row()
+
+    def test_a_torus_without_its_dateline_is_cyclic(self, monkeypatch):
+        """The CYCLIC verdict: with every hop on VC 0 (no dateline), the
+        rings of a 4x4 torus close a dependency cycle, and the audit
+        names it channel by channel."""
+        assert make_scheme("torus", (4, 4)).check_cycle_free().cycle_free
+        next_hop = TorusAdapter.next_hop
+        monkeypatch.setattr(
+            TorusAdapter, "next_hop", lambda self, *a: (next_hop(self, *a)[0], 0)
+        )
+        audit = make_scheme("torus", (4, 4)).check_cycle_free()
+        assert audit.cycle_free is False
+        assert "CYCLIC" in audit.row()
+        assert re.fullmatch(r"cycle through c\d+/vc0( -> c\d+/vc0)+", audit.detail)
 
 
 class TestFaultCoverage:
