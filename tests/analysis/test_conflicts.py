@@ -102,27 +102,42 @@ def _shape_id(shape) -> str:
     return "x".join(map(str, shape))
 
 
-def dependency_edge_digests():
-    """The sha256 of every scheme's ``dependency_edges()`` set on its
-    bench and doctor shapes, fault-free and, where the scheme models
-    faults, under every single fault."""
-    digests = {}
+def dependency_edge_cases():
+    """``(scheme, shape, faults)`` per pinned dependency-edge set: every
+    scheme on its bench and doctor shapes, fault-free and, where the
+    scheme models faults, under every single fault; the safety audit's
+    three schemes on 6x6; ``hyperx_ft``'s escape lane on a 3-D shape
+    under every single fault; and the torus's second VC on 4x4 and
+    3x3x2."""
     for name in scheme_names():
         cls = get_scheme(name)
         for shape in sorted({cls.bench_shape, cls.doctor_shape}):
             faults = all_single_faults(shape) if cls.supports_faults else []
-            for fault in [None, *faults]:
-                case = f"{name} {_shape_id(shape)} | {fault or 'fault-free'}"
-                try:
-                    scheme = make_scheme(name, shape, faults=[fault] if fault else ())
-                except ConfigError as e:
-                    digests[case] = {"config_error": str(e)}
-                    continue
-                edges = sorted(scheme.dependency_edges())
-                digests[case] = {
-                    "edges": len(edges),
-                    "sha256": hashlib.sha256(json.dumps(edges).encode()).hexdigest(),
-                }
+            yield name, shape, [None, *faults]
+    for name in ("adaptive", "dxb", "hyperx_ft"):
+        yield name, (6, 6), [None]
+    yield "hyperx_ft", (3, 3, 2), [None, *all_single_faults((3, 3, 2))]
+    for shape in ((3, 3, 2), (4, 4)):
+        yield "torus", shape, [None]
+
+
+def dependency_edge_digests():
+    """The sha256 of the ``dependency_edges()`` set of every
+    :func:`dependency_edge_cases` case."""
+    digests = {}
+    for name, shape, faults in dependency_edge_cases():
+        for fault in faults:
+            case = f"{name} {_shape_id(shape)} | {fault or 'fault-free'}"
+            try:
+                scheme = make_scheme(name, shape, faults=[fault] if fault else ())
+            except ConfigError as e:
+                digests[case] = {"config_error": str(e)}
+                continue
+            edges = sorted(scheme.dependency_edges())
+            digests[case] = {
+                "edges": len(edges),
+                "sha256": hashlib.sha256(json.dumps(edges).encode()).hexdigest(),
+            }
     return digests
 
 

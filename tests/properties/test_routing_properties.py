@@ -10,7 +10,7 @@ fault locations:
 * the RC trace always ends NORMAL (the packet "leaves no trace").
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import (
     Broadcast,
@@ -21,9 +21,15 @@ from repro.core import (
     make_config,
     SwitchLogic,
 )
+from repro.core.config import ConfigError
 from repro.core.coords import all_coords, hop_distance, num_nodes
 from repro.core.dimension_order import expected_normal_elements
+from repro.core.multifault import all_single_faults
+from repro.core.packet import Header
+from repro.routing import get_scheme, make_scheme, scheme_names
 from repro.topology import MDCrossbar
+from repro.topology.base import ElementKind, element_kind
+from tests.conftest import examples
 
 # keep networks small enough for fast exhaustive route walks
 shapes = st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple).filter(
@@ -154,3 +160,71 @@ def test_config_auto_selection_always_valid(shape, salt):
     f = coords[salt % len(coords)]
     cfg = make_config(shape, fault=Fault.router(f))
     assert cfg.validated() is cfg
+
+
+# -- every scheme's dependency edges against the per-destination loop --------
+def reference_dependency_edges(scheme):
+    """The per-destination stack loop ``RoutingScheme.dependency_edges``
+    was: from every source's injection state, expand the ``(element,
+    in_from, vc, rc)`` states of one destination, adding an edge from the
+    held ``(channel, vc)`` to every branch taken.  The Duato schemes take
+    only the escape branch (``outputs[-1:]``) of a ``policy="any"``
+    decision; a drop is skipped and any PE ends a branch."""
+    topo, adapter = scheme.topo, scheme.adapter
+    duato = scheme.name in ("adaptive", "hyperx_ft")
+    by_dest = {}
+    for s, d in scheme.route_pairs():
+        by_dest.setdefault(d, []).append(s)
+    edges = set()
+    for dest, sources in by_dest.items():
+        header = Header(source=tuple(sources[0]), dest=tuple(dest))
+        stack = []
+        for source in sources:
+            chan = topo.injection_channel(tuple(source))
+            stack.append((chan.dst, chan.src, 0, header.rc))
+        seen = set(stack)
+        while stack:
+            el, in_from, in_vc, rc = stack.pop()
+            held = (topo.channel(in_from, el).cid, in_vc)
+            d = adapter.decide(el, in_from, in_vc, header.with_rc(rc))
+            if d.drop:
+                continue
+            branches = d.outputs[-1:] if duato and d.policy == "any" else d.outputs
+            for out_el, out_vc in branches:
+                edges.add((held, (topo.channel(el, out_el).cid, out_vc)))
+                if element_kind(out_el) is ElementKind.PE:
+                    continue
+                state = (out_el, el, out_vc, d.rc)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return edges
+
+
+@st.composite
+def scheme_case(draw):
+    """A registered scheme on a random shape it accepts (``2x...x2`` for
+    the hypercube, one dimension for the full mesh), with at most one
+    single fault where the scheme models faults."""
+    name = draw(st.sampled_from(scheme_names()))
+    cls = get_scheme(name)
+    if cls.kind == "hypercube":
+        shape = (2,) * draw(st.integers(1, 3))
+    elif cls.kind == "fullmesh":
+        shape = (draw(st.integers(2, 12)),)
+    else:
+        shape = draw(shapes)
+    faults = all_single_faults(shape) if cls.supports_faults else []
+    fault = draw(st.sampled_from([None, *faults]))
+    return name, shape, fault
+
+
+@given(scheme_case())
+@settings(max_examples=examples(20), deadline=None)
+def test_dependency_edges_equal_the_per_destination_loop(case):
+    name, shape, fault = case
+    try:
+        scheme = make_scheme(name, shape, faults=(fault,) if fault else ())
+    except ConfigError:
+        assume(False)
+    assert scheme.dependency_edges() == reference_dependency_edges(scheme)
