@@ -6,19 +6,19 @@ VC 1 fully adaptive, VC 0 a strict dimension-order escape lane, grant
 semantics "first free of [adaptive..., escape]" (``policy="any"``).
 
 CDG contribution: the adaptive lane is cyclic by construction, so the
-scheme contributes only the *escape restriction* -- the last (escape)
-branch of every ``"any"`` decision.  Acyclicity of that restriction plus
-the escape branch always being in the wait set is Duato's deadlock-
-freedom condition.
+scheme contributes only the *escape restriction* -- the escape lane on
+VC 0, dimension-order routing (the paper's relation on the fault-free
+network).  Acyclicity of that restriction plus the escape branch always
+being in the wait set is Duato's deadlock-freedom condition.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
-from ..sim.adapter import SimDecision
+from ..core.switch_logic import SwitchLogic
 from ..sim.adaptive import AdaptiveMDAdapter
-from ..topology.base import ElementId, Topology
+from ..topology.base import Topology
 from ..topology.mdcrossbar import MDCrossbar
 from .base import RoutingScheme
 from .registry import register_scheme
@@ -38,9 +38,9 @@ class AdaptiveScheme(RoutingScheme):
         adapter = AdaptiveMDAdapter(topo)
         return topo, adapter, adapter.required_vcs
 
-    def cdg_branches(self, decision: SimDecision) -> Sequence[Tuple[ElementId, int]]:
-        # escape restriction: the last candidate of an adaptive decision
-        return decision.outputs[-1:]
+    def dependency_relation(self) -> SwitchLogic:
+        # the escape lane: dimension-order routing on VC 0
+        return SwitchLogic(self.topo, self.adapter.config)
 
 
 register_scheme(AdaptiveScheme)

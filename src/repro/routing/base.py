@@ -17,8 +17,8 @@ about one routing algorithm on one network:
   deadlock-freedom argument, checked by :meth:`check_cycle_free`.
 
 Deterministic schemes contribute their full routing relation to the CDG.
-Adaptive schemes with an escape lane (Duato construction) override
-:meth:`cdg_branches` to contribute the *escape restriction* only: the
+Adaptive schemes with an escape lane (Duato construction) name the
+escape lane as their :meth:`~RoutingScheme.dependency_relation`: the
 adaptive lane is cyclic by design, and deadlock freedom rests on the
 escape subnetwork being acyclic and always present in the wait set.
 """
@@ -26,15 +26,15 @@ escape subnetwork being acyclic and always present in the wait set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from ..core.cdg import find_vc_cycle
 from ..core.config import ConfigError
 from ..core.coords import Coord
 from ..core.packet import RC, Header
+from ..core.routes import unicast_hops
 from ..core.switch_logic import Decision
-from ..sim.adapter import SimDecision
-from ..topology.base import ElementId, ElementKind, Topology, element_kind
+from ..topology.base import ElementId, Topology
 
 #: a CDG resource: one virtual channel of one physical channel
 VCKey = Tuple[int, int]  # (channel cid, vc)
@@ -111,60 +111,27 @@ class RoutingScheme:
                     yield s, d
 
     # ------------------------------------------------------ CDG contribution
-    def cdg_branches(self, decision: SimDecision) -> Sequence[Tuple[ElementId, int]]:
-        """Which decision branches contribute dependency edges.
+    def dependency_relation(self):
+        """The relation whose dependency graph the scheme's deadlock
+        argument is about, as :func:`~repro.core.routes.unicast_hops`
+        walks it.  By default the scheme itself: its adapter's decisions
+        on every VC (:meth:`decide`), every branch followed.  A Duato
+        scheme returns its VC-0 escape lane instead."""
+        return self
 
-        Default: all of them (the full routing relation).  Adaptive
-        schemes with an escape lane override this to the escape branch
-        (``outputs[-1]`` under the ``policy="any"`` convention).
-        """
-        return decision.outputs
+    def decide(self, el: ElementId, in_from: ElementId, vc: int, header: Header):
+        """The adapter's decision at ``el`` for a packet on VC ``vc``."""
+        return self.adapter.decide(el, in_from, vc, header)
 
     def dependency_edges(self) -> Set[Tuple[VCKey, VCKey]]:
-        """Edges of the (channel, vc) dependency graph.
-
-        Expansion of :meth:`cdg_branches` from every (router, destination)
-        state -- every router is a potential source, and a packet that
-        reached a router adaptively then behaves like a fresh injection
-        there, so this covers mid-route states as well.  A decision
-        depends on the destination but not the source, so the sources of
-        one destination share their visited states.
-        """
-        by_dest: Dict[Coord, List[Coord]] = {}
-        for s, d in self.route_pairs():
-            by_dest.setdefault(d, []).append(s)
-        edges: Set[Tuple[VCKey, VCKey]] = set()
-        for dest, sources in by_dest.items():
-            header = Header(source=tuple(sources[0]), dest=tuple(dest))
-            # state: (element, in_from, in_vc, rc); fully determines the
-            # holding resource (channel(in_from, element), in_vc)
-            stack = []
-            for source in sources:
-                chan = self.topo.injection_channel(tuple(source))
-                stack.append((chan.dst, chan.src, 0, header.rc))
-            seen = set(stack)
-            limit = (16 * self.topo.num_channels + 64) * len(sources)
-            while stack:
-                el, in_from, in_vc, rc = stack.pop()
-                if limit <= 0:  # pragma: no cover - defensive loop guard
-                    raise RuntimeError(
-                        f"scheme {self.name!r} dependency walk diverged toward {dest}"
-                    )
-                limit -= 1
-                held: VCKey = (self.topo.channel(in_from, el).cid, in_vc)
-                d = self.adapter.decide(el, in_from, in_vc, header.with_rc(rc))
-                if d.drop:
-                    continue
-                for out_el, out_vc in self.cdg_branches(d):
-                    nxt: VCKey = (self.topo.channel(el, out_el).cid, out_vc)
-                    edges.add((held, nxt))
-                    if element_kind(out_el) is ElementKind.PE:
-                        continue
-                    state = (out_el, el, out_vc, d.rc)
-                    if state not in seen:
-                        seen.add(state)
-                        stack.append(state)
-        return edges
+        """Edges of the (channel, vc) dependency graph: the hops of every
+        healthy pair through :meth:`dependency_relation`, one
+        :func:`~repro.core.routes.unicast_hops` walk, which raises when a
+        pair loops or is not delivered."""
+        relation = self.dependency_relation()
+        V = getattr(relation, "num_vcs", 1)
+        _, _, hops = unicast_hops(self.topo, relation)
+        return {(divmod(a, V), divmod(b, V)) for a, b in hops}
 
     def check_cycle_free(self) -> SchemeAudit:
         """Run the scheme's deadlock-freedom self-check."""

@@ -33,7 +33,7 @@ Point-to-point traffic only, like the adaptive comparator.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..core.config import make_config
 from ..core.coords import Coord, point_on_line
@@ -127,12 +127,10 @@ class HyperXFTScheme(RoutingScheme):
         adapter = HyperXFTAdapter(logic)
         return topo, adapter, adapter.required_vcs
 
-    def cdg_branches(self, decision: SimDecision) -> Sequence[Tuple[ElementId, int]]:
-        # escape restriction: the deterministic fault-tolerant relation on
+    def dependency_relation(self) -> SwitchLogic:
+        # the escape lane: the deterministic fault-tolerant relation on
         # VC 0, whose acyclicity the tiered paper analysis establishes
-        if decision.policy == "any":
-            return decision.outputs[-1:]
-        return decision.outputs
+        return self.adapter.logic
 
 
 register_scheme(HyperXFTScheme)

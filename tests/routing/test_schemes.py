@@ -7,15 +7,17 @@ import re
 
 import pytest
 
-from repro.baselines.dor import TorusAdapter
+from repro.baselines.dor import MeshAdapter, TorusAdapter
 from repro.core import Fault, Header, Packet
 from repro.core.config import ConfigError
 from repro.core.multifault import all_single_faults
 from repro.core.packet import RC
+from repro.core.switch_logic import UnreachableDestinationError
 from repro.routing import get_scheme, make_scheme, scheme_names
 from repro.routing.hyperx import ADAPTIVE_VC, ESCAPE_VC
 from repro.runtime import RunSpec, result_identity
 from repro.sim import NetworkSimulator, SimConfig
+from repro.sim.adapter import SimDecision
 from repro.topology.base import pe, rtr
 
 
@@ -83,6 +85,24 @@ class TestZooCycleFreedom:
         assert "CYCLIC" in audit.row()
         assert re.fullmatch(r"cycle through c\d+/vc0( -> c\d+/vc0)+", audit.detail)
 
+    def test_a_relation_that_loses_a_pair_is_refused(self, monkeypatch):
+        """A scheme whose decisions drop a pair is not certified: with
+        router (1, 2) of a 3x3 mesh dropping every packet for (2, 2), the
+        audit raises, naming the first pair that is not delivered."""
+        decide = MeshAdapter.decide
+
+        def dropping(self, el, in_from, in_vc, header):
+            if el == rtr((1, 2)) and header.dest == (2, 2):
+                return SimDecision(outputs=(), rc=header.rc, drop=True)
+            return decide(self, el, in_from, in_vc, header)
+
+        monkeypatch.setattr(MeshAdapter, "decide", dropping)
+        with pytest.raises(UnreachableDestinationError) as exc:
+            make_scheme("mesh", (3, 3)).check_cycle_free()
+        assert str(exc.value).startswith(
+            "flow p2p (0, 2)->(2, 2) is not delivered: dropped at [('RTR', (1, 2))]"
+        )
+
 
 class TestFaultCoverage:
     def test_hyperx_ft_delivers_under_every_single_fault(self):
@@ -144,10 +164,13 @@ class TestHyperXDecisions:
         assert all(vc == ESCAPE_VC for _, vc in d.outputs)
 
     def test_cdg_escape_restriction(self):
+        """The CDG is the escape relation's: the last (escape) branch of
+        the router's decision is that relation's decision, on VC 0."""
         sch = make_scheme("hyperx_ft", (3, 3))
         h = Header(source=(0, 0), dest=(2, 2), rc=RC.NORMAL)
         d = sch.adapter.decide(rtr((0, 0)), pe((0, 0)), 0, h)
-        assert sch.cdg_branches(d) == d.outputs[-1:]
+        escape = sch.dependency_relation().decide(rtr((0, 0)), pe((0, 0)), h)
+        assert d.outputs[-1:] == tuple((el, ESCAPE_VC) for el in escape.outputs)
 
 
 class TestFullMeshDecisions:
