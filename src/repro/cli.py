@@ -105,6 +105,7 @@ def _build_sim(args, stall_limit: int):
     An explicit routing scheme dispatches through the
     :mod:`repro.routing` registry; the default keeps the legacy paper
     facility path, which additionally honors ``--detour``/``--broadcast``.
+    Any other scheme refuses a non-default ``--detour``/``--broadcast``.
     """
     from .sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 
@@ -121,6 +122,16 @@ def _build_sim(args, stall_limit: int):
         )
     from .routing import make_scheme
 
+    ignored = [
+        f"--{opt} {getattr(args, opt)}"
+        for opt, default in (("detour", "safe"), ("broadcast", "serialized"))
+        if getattr(args, opt, default) != default
+    ]
+    if ignored:
+        raise ConfigError(
+            f"--scheme {scheme} does not read {' or '.join(ignored)}: "
+            "only the dxb facility does"
+        )
     sch = make_scheme(scheme, args.shape, faults=tuple(args.fault or ()))
     return NetworkSimulator(
         sch.adapter,

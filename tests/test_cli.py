@@ -111,6 +111,19 @@ class TestCommands:
             main(["census", "--shape", "3x2"] + extra)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["trace", "report"])
+    @pytest.mark.parametrize(
+        "extra", [["--detour", "naive"], ["--broadcast", "naive"]], ids=str
+    )
+    def test_a_scheme_refuses_the_facility_options(self, capsys, command, extra):
+        """Only the dxb facility reads ``--detour`` / ``--broadcast``; any
+        other scheme names them in an ``error:`` line and exits 2."""
+        argv = [command, "--shape", "3x3", "--scheme", "mesh", "--cycles", "20"]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --scheme mesh does not read ")
+        assert " ".join(extra) in err
+
     def test_census_pairs(self, capsys):
         rc = main(["census", "--shape", "3x2", "--pairs", "--max-sets", "10"])
         out = capsys.readouterr().out
