@@ -26,7 +26,7 @@ escape subnetwork being acyclic and always present in the wait set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..core.cdg import find_vc_cycle
 from ..core.config import ConfigError
@@ -101,14 +101,6 @@ class RoutingScheme:
     def live_nodes(self) -> List[Coord]:
         dead = set(self.dead_nodes())
         return [c for c in self.topo.node_coords() if c not in dead]
-
-    def route_pairs(self) -> Iterable[Tuple[Coord, Coord]]:
-        """All deliverable point-to-point (source, dest) pairs."""
-        live = self.live_nodes()
-        for s in live:
-            for d in live:
-                if s != d:
-                    yield s, d
 
     # ------------------------------------------------------ CDG contribution
     def dependency_relation(self):

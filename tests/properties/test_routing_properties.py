@@ -163,6 +163,15 @@ def test_config_auto_selection_always_valid(shape, salt):
 
 
 # -- every scheme's dependency edges against the per-destination loop --------
+def route_pairs(scheme):
+    """All deliverable point-to-point (source, dest) pairs of ``scheme``."""
+    live = scheme.live_nodes()
+    for s in live:
+        for d in live:
+            if s != d:
+                yield s, d
+
+
 def reference_dependency_edges(scheme):
     """The per-destination stack loop ``RoutingScheme.dependency_edges``
     was: from every source's injection state, expand the ``(element,
@@ -173,7 +182,7 @@ def reference_dependency_edges(scheme):
     topo, adapter = scheme.topo, scheme.adapter
     duato = scheme.name in ("adaptive", "hyperx_ft")
     by_dest = {}
-    for s, d in scheme.route_pairs():
+    for s, d in route_pairs(scheme):
         by_dest.setdefault(d, []).append(s)
     edges = set()
     for dest, sources in by_dest.items():
