@@ -11,9 +11,8 @@ long the system takes is measured by ``sysbench/`` (see its README).
 ``run_suite`` produces a plain-dict document (``BENCH_SCHEMA``),
 ``write_bench``/``load_bench`` round-trip it through ``BENCH_<label>.json``
 files, and ``compare_bench`` gates a new run against a saved baseline:
-a case regresses when it is missing on either side, when any of its
-fields differs, or when the active driver disagreed in-run with the
-full per-cycle scan (``legacy_drift``).
+a case regresses when it is missing on either side or when any of its
+fields differs.
 
 The ``repro bench`` subcommand is the CLI face; CI runs it against the
 committed ``benchmarks/BENCH_baseline.json``.
@@ -38,7 +37,9 @@ from .traffic import BernoulliInjector, uniform
 #: ``campaign_reliability`` cases (timed by ``sysbench`` workloads,
 #: their identities pinned by tier-1 tests); what is left is exact on
 #: every machine, so older files are not comparable.
-BENCH_SCHEMA = 9
+#: schema 10: engine cases lose the in-run drift list against the
+#: full-scan driver, which is gone; every other field is as in 9.
+BENCH_SCHEMA = 10
 
 #: runs of each shoot-out leg; they must agree on every simulated
 #: quantity (state leaking from one run into the next is a bug)
@@ -48,27 +49,24 @@ SHOOTOUT_RUNS = 2
 class BenchCase(NamedTuple):
     name: str
     description: str
-    #: (legacy_scan) -> (sim, max_cycles); engine cases only
-    build: Optional[Callable[..., Tuple[NetworkSimulator, int]]] = None
+    #: () -> (sim, max_cycles); engine cases only
+    build: Optional[Callable[[], Tuple[NetworkSimulator, int]]] = None
     #: whole-case override: ``() -> case dict``.  The shoot-outs run
     #: several simulations into one table rather than one engine run.
     runner: Optional[Callable[[], Dict]] = None
 
 
-def _md_sim(
-    shape, faults=(), stall_limit: int = 5000, legacy: bool = False
-) -> NetworkSimulator:
+def _md_sim(shape, faults=(), stall_limit: int = 5000) -> NetworkSimulator:
     topo = MDCrossbar(shape)
     logic = SwitchLogic(topo, make_config(shape, faults=tuple(faults)))
     return NetworkSimulator(
-        MDCrossbarAdapter(logic),
-        SimConfig(stall_limit=stall_limit, legacy_scan=legacy),
+        MDCrossbarAdapter(logic), SimConfig(stall_limit=stall_limit)
     )
 
 
 def _bernoulli_case(shape, load, cycles, faults=(), seed=1):
-    def build(legacy: bool = False) -> Tuple[NetworkSimulator, int]:
-        sim = _md_sim(shape, faults=faults, legacy=legacy)
+    def build() -> Tuple[NetworkSimulator, int]:
+        sim = _md_sim(shape, faults=faults)
         sim.add_generator(
             BernoulliInjector(
                 load=load,
@@ -84,8 +82,8 @@ def _bernoulli_case(shape, load, cycles, faults=(), seed=1):
 
 
 def _broadcast_case(shape, rounds, gap):
-    def build(legacy: bool = False) -> Tuple[NetworkSimulator, int]:
-        sim = _md_sim(shape, legacy=legacy)
+    def build() -> Tuple[NetworkSimulator, int]:
+        sim = _md_sim(shape)
         coords = sorted(MDCrossbar(shape).node_coords())
         for i in range(rounds):
             src = coords[i % len(coords)]
@@ -106,8 +104,8 @@ def _stream_case(shape, packets, length, gap):
     bulk flit-run windows (the body of each packet) and the idle-cycle
     fast-forward (the gaps)."""
 
-    def build(legacy: bool = False) -> Tuple[NetworkSimulator, int]:
-        sim = _md_sim(shape, legacy=legacy)
+    def build() -> Tuple[NetworkSimulator, int]:
+        sim = _md_sim(shape)
         coords = sorted(MDCrossbar(shape).node_coords())
         src, dst = coords[0], coords[-1]
         for i in range(packets):
@@ -436,9 +434,9 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
 )
 
 
-def _measure(case: BenchCase, legacy: bool = False) -> Dict:
+def _measure(case: BenchCase) -> Dict:
     """One run of an engine case (spans attached throughout)."""
-    sim, max_cycles = case.build(legacy=legacy)
+    sim, max_cycles = case.build()
     spans = PacketSpanCollector().attach(sim)
     res = sim.run(max_cycles=max_cycles, until_drained=False)
     spans.detach(sim)
@@ -460,22 +458,12 @@ def _measure(case: BenchCase, legacy: bool = False) -> Dict:
 
 
 def run_case(case: BenchCase) -> Dict:
-    """The pinned quantities of one case.
-
-    An engine case runs once on the active driver and once with
-    ``legacy_scan=True``; ``legacy_drift`` lists the quantities on which
-    the fast path disagreed with the full per-cycle scan (always empty
-    unless the active-set engine is broken).  Runner cases
-    (``case.runner``, the shoot-outs) fill in their own dict."""
+    """The pinned quantities of one case: one run of an engine case on
+    the active driver, or the dict a runner case (``case.runner``, the
+    shoot-outs) fills in itself."""
     if case.runner is not None:
         return case.runner()
-    fast = _measure(case)
-    legacy = _measure(case, legacy=True)
-    return {
-        "description": case.description,
-        **fast,
-        "legacy_drift": [f for f in fast if legacy[f] != fast[f]],
-    }
+    return {"description": case.description, **_measure(case)}
 
 
 def run_suite(
@@ -528,9 +516,7 @@ def compare_bench(new: Dict, baseline: Dict) -> List[Regression]:
     """Differences of ``new`` from ``baseline``; every one is a regression.
 
     No field of a case depends on the machine or the clock, so each must
-    match exactly.  A non-empty ``legacy_drift`` in the new run (the
-    fast path disagreeing with the per-cycle scan in-run) is reported
-    under its own name.  A case present on one side only regresses too:
+    match exactly.  A case present on one side only regresses too:
     a silently dropped case would hide anything, and a new or renamed
     one would run ungated until someone refreshed the baseline.
     """
@@ -545,8 +531,6 @@ def compare_bench(new: Dict, baseline: Dict) -> List[Regression]:
             )
             continue
         for field in sorted(set(old_case) | set(new_case)):
-            if field == "legacy_drift":
-                continue
             if old_case.get(field) != new_case.get(field):
                 out.append(
                     Regression(
@@ -554,13 +538,6 @@ def compare_bench(new: Dict, baseline: Dict) -> List[Regression]:
                         "pinned quantity drifted",
                     )
                 )
-        if new_case.get("legacy_drift"):
-            out.append(
-                Regression(
-                    name, "legacy_drift", [], new_case["legacy_drift"],
-                    "fast path disagrees with legacy_scan on these fields",
-                )
-            )
     for name in new_cases:
         if name not in old_cases:
             out.append(
@@ -609,13 +586,10 @@ def render_bench(doc: Dict) -> str:
                     f"rotations={leg['recoveries']} {end}"
                 )
             continue
-        line = (
+        lines.append(
             f"  {name:<18} {c['cycles']:>6} cycles "
             f"{c['flit_moves']:>7} flit moves  "
             f"delivered={c['delivered']} blocked={c['blocked_cycles']} "
             f"sxb={c['sxb_wait_cycles']}"
         )
-        if c["legacy_drift"]:
-            line += f" DRIFT={','.join(c['legacy_drift'])}"
-        lines.append(line)
     return "\n".join(lines)

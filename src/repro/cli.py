@@ -1025,9 +1025,9 @@ def _doctor_routing() -> List[Tuple[str, bool]]:
 
 
 def _doctor_engines() -> List[Tuple[str, bool]]:
-    """Engine-mode health: the same doctor-grid workloads under all
-    three cycle drivers (batched SoA kernel, scalar active driver,
-    legacy full scan) must fingerprint byte-identically; the kernel must
+    """Engine-mode health: the same doctor-grid workloads on both cycle
+    drivers (batched SoA kernel, scalar active driver) and stepping every
+    cycle must fingerprint byte-identically; the kernel must
     actually run in-kernel on its supported workload (no silent
     fallback); unsupported state must hand back with an explicit
     reason."""
@@ -1040,7 +1040,7 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
 
     shape = (4, 3)
 
-    def run(engine, legacy=False, faults=(), bcast=False):
+    def run(engine, exact=False, faults=(), bcast=False):
         # identical pid streams per driver: fingerprints compare exactly
         packet_mod._packet_ids = itertools.count(1_000_000)
         logic = SwitchLogic(
@@ -1048,8 +1048,11 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
         )
         sim = NetworkSimulator(
             MDCrossbarAdapter(logic),
-            SimConfig(stall_limit=400, engine=engine, legacy_scan=legacy),
+            SimConfig(stall_limit=400, engine=engine),
         )
+        if exact:
+            # any cycle_start subscriber turns off every run-loop shortcut
+            sim.hooks.on_cycle_start(lambda s: None)
         if bcast:
             sim.send(
                 Packet(
@@ -1071,12 +1074,12 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
     ):
         fp_soa, sim_soa = run("soa", faults=faults)
         fp_act, _ = run("active", faults=faults)
-        fp_leg, _ = run("active", legacy=True, faults=faults)
+        fp_exact, _ = run("active", exact=True, faults=faults)
         checks.append(
             (
-                f"engine: soa == active == legacy_scan on the {label} "
+                f"engine: soa == active == exact stepping on the {label} "
                 f"4x3 grid",
-                fp_soa == fp_act == fp_leg,
+                fp_soa == fp_act == fp_exact,
             )
         )
         checks.append(

@@ -32,12 +32,6 @@ class SimConfig:
     max_cycles: int = 1_000_000
     #: flits per packet used by generators that do not specify a length
     default_packet_length: int = 4
-    #: disable the active-set fast path (idle-cycle fast-forward and bulk
-    #: flit-run transfer) and walk every fabric entity every cycle, as the
-    #: pre-active-set engine did.  The results must be byte-identical either
-    #: way -- this escape hatch exists as the parity oracle for tests and
-    #: for ``repro bench``'s fast-vs-legacy drift gate.
-    legacy_scan: bool = False
     #: recover from detected deadlock online instead of halting: drain one
     #: victim packet of the cyclic wait back out of the fabric and
     #: re-inject it (a DBR-style rotate, delivery preserved), then resume
@@ -48,11 +42,11 @@ class SimConfig:
     #: cycle driver: ``"active"`` (default, the PR 4 active-set fast
     #: path) or ``"soa"`` (the batched structure-of-arrays kernel in
     #: :mod:`repro.sim.soa` -- vectorized flit state and grant
-    #: arbitration, built for full-machine shapes).  ``legacy_scan=True``
-    #: still forces the full-scan oracle regardless.  All drivers
-    #: produce byte-identical :meth:`SimResult.fingerprint` outputs; the
-    #: SoA kernel falls back to the active driver whenever a subscribed
-    #: hook or fabric feature needs the scalar path (see
+    #: arbitration, built for full-machine shapes).  Both drivers
+    #: produce byte-identical :meth:`SimResult.fingerprint` outputs, as
+    #: does stepping every cycle (any ``cycle_start`` subscriber forces
+    #: it); the SoA kernel falls back to the active driver whenever a
+    #: subscribed hook or fabric feature needs the scalar path (see
     #: ``NetworkSimulator.engine_used``).
     engine: str = "active"
     #: recovery actions allowed per run before the watchdog escalates to
