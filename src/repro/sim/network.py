@@ -79,11 +79,9 @@ class NetworkSimulator(CycleEngine):
                 victims.add(conn.pid)
         lost = [self.kill_packet(pid) for pid in sorted(victims)]
         self.adapter.logic = new_logic
-        self._live_nodes = tuple(
-            c for c in self.topo.node_coords() if not self._node_is_dead(c)
-        )
+        self._set_live_nodes()
         # rebase surviving broadcasts: a dead PE will never take delivery
-        live = set(self._live_nodes)
+        live = self._live_set
         for pid, inf in list(self.in_flight.items()):
             if inf.packet.header.rc in (RC.BROADCAST_REQUEST, RC.BROADCAST):
                 inf.expected_deliveries = len(inf.served) + len(

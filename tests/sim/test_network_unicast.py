@@ -156,6 +156,18 @@ class TestFaultedTransfers:
         with pytest.raises(ValueError):
             sim.send(p2p((2, 0), (0, 0)))
 
+    def test_send_from_pe_disconnected_mid_run_rejected(self, topo43):
+        """A fault injected while the network runs disconnects its PE at
+        once: ``send`` refuses it, and still takes the live ones."""
+        sim = make_sim(topo43)
+        sim.send(p2p((2, 0), (0, 0)))
+        sim.run(max_cycles=5, until_drained=False)
+        sim.inject_fault(Fault.router((2, 0)))
+        with pytest.raises(ValueError, match="disconnected by the fault"):
+            sim.send(p2p((2, 0), (0, 0)))
+        assert (2, 0) not in sim.live_nodes
+        sim.send(p2p((1, 0), (0, 0)))
+
     def test_packet_to_dead_pe_dropped(self, topo43):
         sim = make_sim(topo43, fault=Fault.router((2, 0)))
         sim.send(p2p((0, 0), (2, 0)))
