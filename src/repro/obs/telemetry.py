@@ -181,6 +181,9 @@ RUNTIME_FIELDS = frozenset(
 #: the ``cache`` tiers a ``spec_done`` record may carry
 CACHE_TIERS: Tuple[str, ...] = ("result", "reuse", "fresh")
 
+#: one encoder for every ledger line (``json.dumps`` builds one a call)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class SweepLedger:
     """Collect sweep-runtime records; optionally stream them as JSONL.
@@ -216,7 +219,7 @@ class SweepLedger:
     def _emit(self, rec: Dict) -> None:
         self.records.append(rec)
         if self.sink is not None:
-            self.sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            self.sink.write(_encode(rec) + "\n")
 
     def of_kind(self, kind: str) -> List[Dict]:
         return [r for r in self.records if r["kind"] == kind]

@@ -25,11 +25,18 @@ concurrent sweep processes on one directory never meet a lock, and a
 reader indexes whole records only: it stops at a torn tail (a writer
 killed mid-record) and sees every record before it.
 
-**Invalidation**: a CRC or unpickle failure, a foreign pickle, or a
-schema/key/spec mismatch inside the payload drops the entry from this
-instance's index (counted in ``invalidations``) and reads as a miss; the
-next execution appends a fresh record, and the last record of a key wins.
-A flipped byte therefore costs one entry, not the file.
+**Payload**: the pickled tuple ``(CACHE_SCHEMA, ident, point, wall_time,
+metrics, spans)``; ``ident`` is the canonical JSON :func:`spec_key`
+hashes, and no spec is stored.  A lookup has just encoded its spec to
+find the record, so when ``ident`` equals that encoding byte for byte --
+one check in place of a key and a spec check -- the hit is built around
+the **caller's** spec.
+
+**Invalidation**: a CRC or unpickle failure, a payload that is not such a
+tuple, a foreign schema or another spec's ``ident`` drops the entry from
+this instance's index (counted in ``invalidations``) and reads as a miss;
+the next execution appends a fresh record, and the last record of a key
+wins.  A flipped byte therefore costs one entry, not the file.
 """
 
 from __future__ import annotations
@@ -42,13 +49,14 @@ import struct
 import tempfile
 import time
 import zlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Optional, Tuple
 
 from .spec import PointResult, RunSpec
 
-#: payload layout version; entries written under another schema are
-#: invalidated on first touch
-CACHE_SCHEMA = 1
+#: payload layout version, part of every key; entries written under
+#: another schema are invalidated on first touch.  2: the spec-free
+#: tuple above (1 pickled the dict ``{schema, key, spec, result}``)
+CACHE_SCHEMA = 2
 
 #: observable-results version of the simulator.  Part of every cache key:
 #: bump it whenever an engine/routing change alters what any spec
@@ -74,15 +82,23 @@ CACHE_SCHEMA = 1
 CODE_VERSION = 6
 
 
-def spec_key(spec: RunSpec) -> str:
-    """Content hash identifying ``spec``'s result on this code version."""
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _identity(spec: RunSpec) -> bytes:
+    """The UTF-8 canonical JSON naming ``spec``'s result on this code
+    version: what :func:`spec_key` hashes and every record stores."""
     ident = {
         "cache_schema": CACHE_SCHEMA,
         "code_version": CODE_VERSION,
         "spec": spec.to_dict(),
     }
-    blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _canonical(ident).encode("utf-8")
+
+
+def spec_key(spec: RunSpec) -> str:
+    """Content hash identifying ``spec``'s result on this code version."""
+    return hashlib.sha256(_identity(spec)).hexdigest()
 
 
 def result_identity(results: Iterable[PointResult]) -> str:
@@ -111,8 +127,8 @@ _SEGMENT_SUFFIX = ".seg"
 
 
 class ResultCache:
-    """Append-only segments of pickled :class:`PointResult`s under
-    ``root``, keyed by content hash.
+    """Append-only segments of spec-free pickled results under ``root``,
+    keyed by content hash.
 
     ``_index`` maps a key digest to ``(segment, offset, length)`` of its
     newest whole record.  It is filled lazily: a lookup that does not find
@@ -146,13 +162,15 @@ class ResultCache:
         self._scanned: Dict[str, Tuple[int, int]] = {}
         #: this instance's own segment: (file, path, owning pid)
         self._writer: Optional[Tuple] = None
+        #: segment -> file held open for reading hits, oldest first
+        self._readers: Dict[str, BinaryIO] = {}
 
     def get(self, spec: RunSpec) -> Optional[PointResult]:
         """The cached result for ``spec``, or None (counted as a miss)."""
-        # hash the spec exactly once per lookup: the index probe and the
-        # payload's stored key derive from the same computation
-        key = spec_key(spec)
-        digest = bytes.fromhex(key)
+        # encode the spec exactly once per lookup: the index probe's
+        # digest and the payload's identity check share that encoding
+        ident = _identity(spec)
+        digest = hashlib.sha256(ident).digest()
         where = self._index.get(digest)
         if where is None:
             self._refresh()
@@ -162,10 +180,9 @@ class ResultCache:
                 return None
         payload = self._load(digest, where)
         if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_SCHEMA
-            or payload.get("key") != key
-            or payload.get("spec") != spec.to_dict()
+            not isinstance(payload, tuple)
+            or len(payload) != 6
+            or payload[:2] != (CACHE_SCHEMA, ident)
         ):
             # forget the bad record; the next put of this key supersedes
             # it on disk (last record wins)
@@ -174,33 +191,33 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return payload["result"]
+        # ``ident`` matched byte for byte: the probe is the stored spec
+        return PointResult(spec, *payload[2:])
 
     def put(self, result: PointResult) -> None:
         """Append ``result`` under its spec's content key; visible to
         every reader of ``root`` when this returns."""
-        key = spec_key(result.spec)
+        ident = _identity(result.spec)
         blob = pickle.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "key": key,
-                "spec": result.spec.to_dict(),
-                "result": result,
-            },
+            (CACHE_SCHEMA, ident, result.point, result.wall_time,
+             result.metrics, result.spans),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        digest = bytes.fromhex(key)
+        digest = hashlib.sha256(ident).digest()
         record = _HEADER.pack(digest, len(blob), zlib.crc32(blob)) + blob
         self._index[digest] = self._append(record)
         self.puts += 1
 
     def close(self) -> None:
-        """Release this instance's segment file.  Optional: every record
-        is on its way to disk when ``put`` returns, and a later ``put``
-        simply starts a new segment."""
+        """Release this instance's segment files.  Optional: every record
+        is on its way to disk when ``put`` returns, a later ``put`` simply
+        starts a new segment and a later hit reopens its segment."""
         if self._writer is not None:
             self._writer[0].close()
             self._writer = None
+        for f in self._readers.values():
+            f.close()
+        self._readers.clear()
 
     def _append(self, record: bytes) -> Tuple[str, int, int]:
         """Write one whole record to this instance's segment."""
@@ -266,9 +283,13 @@ class ResultCache:
         is unreadable, fails its checksum or does not unpickle."""
         path, offset, length = where
         try:
-            with open(path, "rb", buffering=0) as f:
-                f.seek(offset)
-                record = f.read(length)
+            f = self._readers.get(path)
+            if f is None:
+                if len(self._readers) >= 64:
+                    # oldest out: thousands of segments must not EMFILE
+                    self._readers.pop(next(iter(self._readers))).close()
+                f = self._readers[path] = open(path, "rb", buffering=0)
+            record = os.pread(f.fileno(), length, offset)
             stored, size, crc = _HEADER.unpack_from(record)
             blob = record[_HEADER.size:]
             if (stored, size, crc) != (digest, len(blob), zlib.crc32(blob)):

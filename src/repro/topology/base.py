@@ -67,10 +67,6 @@ class Channel:
         # tuples on every dict/set touch dominated the static analyses
         return self.cid
 
-    @property
-    def endpoints(self) -> Tuple[ElementId, ElementId]:
-        return (self.src, self.dst)
-
     def __repr__(self) -> str:
         return f"Ch#{self.cid}({_fmt(self.src)}->{_fmt(self.dst)})"
 
