@@ -6,15 +6,19 @@ import json
 
 import pytest
 
-from repro.core import Header, Packet
+from repro.core import RC, Fault, Header, Packet
+from repro.core.config import DetourScheme
 from repro.obs import (
     EVENT_KINDS,
     TRACE_SCHEMA_VERSION,
     TraceRecorder,
     read_trace,
 )
+from repro.obs.telemetry import _encode
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig, TextTrace
 from repro.sim.engine import PHASES
+from repro.topology import MDCrossbar
+from repro.traffic import BernoulliInjector, BroadcastInjector, uniform
 from tests.conftest import make_logic
 
 
@@ -156,3 +160,85 @@ class TestTextTraceCompatibility:
         assert len(trace.events) == len(trace.recorder.records)
         cycle, message = trace.events[0]
         assert isinstance(cycle, int) and isinstance(message, str)
+
+
+# ------------------------------------------------------- the writer law
+def fast_path_run():
+    """Uniform unicast load on a fault-free 4x3: the active driver."""
+    sim = make_sim(MDCrossbar((4, 3)))
+    sim.add_generator(
+        BernoulliInjector(load=0.3, pattern=uniform, seed=7, stop_at=120)
+    )
+    return sim, dict(max_cycles=1500)
+
+
+def recovery_run():
+    """The paper's Fig. 9 deadlock, rotated out by online recovery, then
+    the same interleaving left to deadlock."""
+    topo = MDCrossbar((4, 3))
+    logic = make_logic(
+        topo, fault=Fault.router((2, 0)), detour_scheme=DetourScheme.NAIVE
+    )
+    sim = NetworkSimulator(
+        MDCrossbarAdapter(logic),
+        SimConfig(stall_limit=200, recovery=True, recovery_limit=1),
+    )
+    for at in (0, 400):
+        sim.send(
+            Packet(
+                Header(source=(3, 2), dest=(3, 2), rc=RC.BROADCAST_REQUEST),
+                length=6,
+            ),
+            at_cycle=at,
+        )
+        for src, dst, dt in (
+            ((0, 0), (2, 2), 1),
+            ((1, 0), (3, 1), 1),
+            ((0, 1), (1, 2), 2),
+        ):
+            sim.send(
+                Packet(Header(source=src, dest=dst), length=6),
+                at_cycle=at + dt,
+            )
+    return sim, dict(max_cycles=5000)
+
+
+def broadcast_detour_run():
+    """Broadcasts and unicasts around a faulty router: S-XB waits,
+    multicast grants and D-XB detours."""
+    topo = MDCrossbar((4, 3))
+    sim = make_sim(topo, fault=Fault.router((2, 0)))
+    sim.add_generator(
+        BernoulliInjector(load=0.15, pattern=uniform, seed=3, stop_at=100)
+    )
+    sim.add_generator(BroadcastInjector(rate=0.05, seed=4, stop_at=100))
+    return sim, dict(max_cycles=2000)
+
+
+class TestEveryLineIsTheSharedEncoding:
+    """Whatever path a record kind takes to the sink, the line written is
+    ``_encode`` of the record the recorder keeps."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [fast_path_run, recovery_run, broadcast_detour_run],
+        ids=["fast-path", "recovery", "broadcast-detour"],
+    )
+    def test_lines_equal_the_encoded_records(self, scenario):
+        sim, run_kw = scenario()
+        sink = io.StringIO()
+        rec = TraceRecorder(events=EVENT_KINDS, sink=sink, limit=None).attach(
+            sim
+        )
+        sim.run(**run_kw)
+        rec.detach()
+        lines = sink.getvalue().split("\n")
+        assert lines.pop() == ""
+        header = json.loads(lines[0])
+        assert header["kind"] == "trace_header"
+        assert lines[0] == _encode(header)
+        assert lines[1:] == [_encode(r) for r in rec.records]
+        kinds = {r["kind"] for r in rec.records}
+        assert {"inject", "grant", "block", "deliver"} <= kinds
+        if scenario is recovery_run:
+            assert {"recovery", "deadlock"} <= kinds
