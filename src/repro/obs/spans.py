@@ -41,9 +41,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.packet import RC
 from ..sim.engine import BlockEvent, CycleEngine
-from ..topology.base import element_label, output_port_map, port_label
+from ..topology.base import element_label
 from .collectors import Collector
 from .metrics import LATENCY_BUCKETS, MetricSet
+from .trace import labels_for
 
 #: RC values that make a packet a broadcast for span purposes
 _BROADCAST_RCS = (int(RC.BROADCAST_REQUEST), int(RC.BROADCAST))
@@ -444,34 +445,16 @@ class PacketSpanCollector(Collector):
 
     def attach(self, engine: CycleEngine) -> "PacketSpanCollector":
         self._engine = engine
-        ports = output_port_map(engine.topo)
         base = None
         if self._dor_baseline and getattr(engine.adapter, "logic", None) is not None:
             base = dor_base_transfer(engine.topo)
 
         # the label vocabularies are tiny and hit on every hook event:
-        # memoize the rendered strings instead of re-formatting each time
-        port_memo: Dict[Tuple[int, Optional[int]], str] = {}
-
-        def _label(cid: int, vc: Optional[int]) -> str:
-            key = (cid, vc)
-            s = port_memo.get(key)
-            if s is None:
-                s = port_label(ports, cid, vc)
-                port_memo[key] = s
-            return s
-
-        el_memo: Dict[Tuple, str] = {}
-
-        def _elabel(el) -> str:
-            s = el_memo.get(el)
-            if s is None:
-                s = element_label(el)
-                el_memo[el] = s
-            return s
-
-        self._label = _label
-        self._elabel = _elabel
+        # the rendered strings are memoised once per topology, shared
+        # with the trace recorder
+        labels = labels_for(engine.topo)
+        self._label = labels.port
+        self._elabel = labels.element
         self._builder = SpanBuilder(out_label=self._label, base_transfer=base)
         engine.hooks.on_inject(self._on_inject)
         engine.hooks.on_grant(self._on_grant)
