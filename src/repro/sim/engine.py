@@ -945,6 +945,8 @@ class CycleEngine:
             if flit.is_tail:
                 for k in couts:
                     vcs[k].owner = None
+                # a header queued behind one the route phase took lost
+                # its candidacy with it; this is its only way back
                 if cin is not None and vcs[cin].buffer:
                     route_candidates.add(cin)
                 finished.append(conn_key)

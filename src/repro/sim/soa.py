@@ -710,6 +710,7 @@ class SoAKernel:
         self.owner[douts[douts >= 0]] = -1
         self.fc_alive[td] = False
         self.nconns -= int(td.size)
+        # as in the scalar transfer: a header queued behind a routed one
         self.route_cand[td[self.buf_len[td] > 0]] = True
         return td[douts < 0]
 
